@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
 from .errors import (
     DegenerateGradientError,
     DegreeError,
@@ -57,7 +55,8 @@ def _abs_eval(P: MultiPoly, x: Sequence[float]) -> float:
 
 def sample_directions(nvars: int, n: int, seed: int) -> list[tuple[float, ...]]:
     """Deterministic unit directions: exact angular grid in 2D, seeded
-    normalized Gaussian draws for nvars >= 3."""
+    normalized Gaussian draws for nvars >= 3 (the only branch that loads
+    numpy)."""
     if n < 1:
         raise ValueError("need at least one direction")
     if nvars == 1:
@@ -67,6 +66,8 @@ def sample_directions(nvars: int, n: int, seed: int) -> list[tuple[float, ...]]:
             (math.cos(2.0 * math.pi * k / n), math.sin(2.0 * math.pi * k / n))
             for k in range(n)
         ]
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     dirs = []
     while len(dirs) < n:
@@ -193,7 +194,7 @@ class HomogenizedLyapunov:
 
     # -- decay rate --------------------------------------------------------------
 
-    def tau_dot(self, f: "PolyVectorField", x: Sequence[float]) -> float:
+    def tau_dot(self, f: "PolyVectorField", x: Sequence[float], tau: float | None = None) -> float:
         """Time derivative of tau along the field f at x.
 
         With c = tau(x) and y = x/c on the boundary, differentiating
@@ -201,12 +202,16 @@ class HomogenizedLyapunov:
 
             dc/dt = c^(nu+1) * (grad P(y) . f(y)) / (grad P(y) . y).
 
+        `tau`, when given, must be `self.tau(x)`; a caller that already
+        holds it skips the second root solve, with a bit-identical result
+        since tau is deterministic.
+
         Raises DegenerateGradientError when the denominator vanishes
         against its own term scale (tangent crossing).
         """
         if all(v == 0.0 for v in x):
             raise ValueError("tau_dot is undefined at the origin")
-        c = self.tau(x)
+        c = self.tau(x) if tau is None else tau
         y = [v / c for v in x]
         gvals = [g.eval(y) for g in self.gradient]
         denom = sum(gv * yv for gv, yv in zip(gvals, y))

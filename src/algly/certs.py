@@ -8,19 +8,23 @@ A multiplier certificate claims U1 * grad(P).f + U2 * P < 0 with
 U1 >= 0; verification is dense sampling, optionally backed by Gram
 certificates for U1 and the negated combination for a sampling-free
 conclusion.
+
+numpy is imported inside the functions that do linear algebra or seeded
+sampling, so importing this module does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .dynsys import PolyVectorField, VerificationReport
 from .errors import DimensionMismatchError
 from .polycore import Exponents, MultiPoly
+
+if TYPE_CHECKING:
+    import numpy as np
 
 COEFF_TOL = 1e-10        # per-coefficient tolerance in the identity check
 SYMMETRY_TOL = 1e-12     # allowed asymmetry of Q, relative to its largest entry
@@ -38,6 +42,8 @@ class GramCertificate:
     target: MultiPoly
 
     def __post_init__(self):
+        import numpy as np
+
         basis = tuple(tuple(int(k) for k in e) for e in self.basis)
         object.__setattr__(self, "basis", basis)
         if len(set(basis)) != len(basis):
@@ -65,8 +71,9 @@ class GramCertificate:
 class MultiplierCertificate:
     """U1 (claimed nonnegative) and U2, with optional Gram backing.
 
-    `gram_U1` / `gram_negG` are (basis, Q) pairs; their targets are
-    implied (U1 itself, and the negated combination -G respectively).
+    `gram_U1` / `gram_negG` are (basis, Q) pairs, Q an array or nested
+    lists; their targets are implied (U1 itself, and the negated
+    combination -G respectively).
     """
 
     U1: MultiPoly
@@ -108,6 +115,8 @@ def jacobi_eigenvalues(A: np.ndarray, off_tol: float = JACOBI_OFF_TOL) -> tuple[
     off_tol relative to the matrix's Frobenius norm.  Returns the
     eigenvalues sorted ascending.
     """
+    import numpy as np
+
     A = np.array(A, dtype=float)
     n = A.shape[0]
     if n == 1:
@@ -144,7 +153,7 @@ def verify_gram(cert: GramCertificate, psd_tol: float | None = None) -> GramRepo
     reported as marginal instead of silently flipping the verdict.
     """
     if psd_tol is None:
-        psd_tol = 1e-9 * max(float(np.max(np.abs(cert.Q))), 1e-300)
+        psd_tol = 1e-9 * max(float(abs(cert.Q).max()), 1e-300)
     expanded = expand_quadratic_form(cert.basis, cert.Q, cert.target.nvars)
     mismatches = []
     max_err = 0.0
@@ -183,6 +192,8 @@ def gram_euler_identity(cert: GramCertificate) -> MultiPoly:
     structural self-check of the degree bookkeeping.  Basis entries of
     degree 0 break the factor-2 form and are rejected.
     """
+    import numpy as np
+
     degrees = [sum(e) for e in cert.basis]
     if any(d == 0 for d in degrees):
         raise ValueError("constant monomial in basis: the scaled identity requires degree >= 1")
@@ -233,6 +244,8 @@ def verify_multiplier(
             raise ValueError("empty grid and no random samples")
     elif len(grid) == 0 and n_random == 0:
         raise ValueError("empty grid and no random samples")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     samples = [tuple(float(v) for v in pt) for pt in grid]
     samples += [tuple(float(v) for v in rng.uniform(-5.0, 5.0, P.nvars)) for _ in range(n_random)]
@@ -269,12 +282,12 @@ def verify_multiplier(
     certified = None
     if cert.gram_U1 is not None:
         basis, Q = cert.gram_U1
-        report = verify_gram(GramCertificate(tuple(basis), np.asarray(Q), cert.U1))
+        report = verify_gram(GramCertificate(basis, Q, cert.U1))
         notes["gram_U1_passed"] = report.passed
         certified = report.passed
     if cert.gram_negG is not None:
         basis, Q = cert.gram_negG
-        report = verify_gram(GramCertificate(tuple(basis), np.asarray(Q), -G))
+        report = verify_gram(GramCertificate(basis, Q, -G))
         notes["gram_negG_passed"] = report.passed
         certified = report.passed if certified is None else (certified and report.passed)
     if certified is not None:

@@ -31,8 +31,6 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import certs, dynsys
 from .alf import HomogenizedLyapunov
 from .errors import (
@@ -68,6 +66,20 @@ class UsageError(Exception):
     pass
 
 
+_COUNT_OPTIONS = ("ray_samples", "n_dirs", "n_theta")
+_REAL_OPTIONS = ("abs_tol", "rel_tol", "h", "T", "strict_tol")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return _is_int(value) and abs(value) <= sys.float_info.max
+
+
 def load_problem(path: str, seed_flag: int | None = None) -> Problem:
     try:
         with open(path) as fh:
@@ -76,11 +88,23 @@ def load_problem(path: str, seed_flag: int | None = None) -> Problem:
         raise UsageError(f"cannot read problem file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"problem file is not valid JSON: {exc}") from exc
-    if "nvars" not in data or "P" not in data:
+    if not isinstance(data, dict) or "nvars" not in data or "P" not in data:
         raise UsageError("problem file needs at least 'nvars' and 'P'")
-    nvars = int(data["nvars"])
+    nvars = data["nvars"]
+    if not (_is_int(nvars) and nvars >= 1):
+        raise UsageError(f"nvars must be a positive integer, got {nvars!r}")
+    if not isinstance(data["P"], str):
+        raise UsageError(f"P must be polynomial text, got {data['P']!r}")
     P = parse(data["P"], nvars)
-    options = dict(data.get("options", {}))
+    options = data.get("options", {})
+    if not isinstance(options, dict):
+        raise UsageError("options must be a JSON object")
+    for key in _COUNT_OPTIONS:
+        if key in options and not (_is_int(options[key]) and options[key] >= 1):
+            raise UsageError(f"options.{key} must be a positive integer, got {options[key]!r}")
+    for key in _REAL_OPTIONS:
+        if key in options and not _is_finite(options[key]):
+            raise UsageError(f"options.{key} must be a finite number, got {options[key]!r}")
 
     field = None
     if "field" in data:
@@ -97,9 +121,13 @@ def load_problem(path: str, seed_flag: int | None = None) -> Problem:
         else:
             raise UsageError("field must have either 'matrix' or 'components'")
 
-    x0 = tuple(float(v) for v in data["x0"]) if "x0" in data else None
-    if x0 is not None and len(x0) != nvars:
-        raise UsageError("x0 length disagrees with nvars")
+    x0 = data.get("x0")
+    if x0 is not None:
+        if not (isinstance(x0, list) and all(_is_finite(v) for v in x0)):
+            raise UsageError(f"x0 must be a list of finite numbers, got {x0!r}")
+        if len(x0) != nvars:
+            raise UsageError("x0 length disagrees with nvars")
+        x0 = tuple(float(v) for v in x0)
 
     env_seed = os.environ.get("ALGLY_SEED")
     if seed_flag is not None:
@@ -171,6 +199,8 @@ def cmd_tau(args) -> int:
     x = tuple(args.x)
     if len(x) != problem.nvars:
         raise UsageError(f"--x needs {problem.nvars} values, got {len(x)}")
+    if not all(math.isfinite(v) for v in x):
+        raise UsageError(f"--x values must be finite, got {list(x)}")
     value = L.tau(x)
     payload = {"x": list(x), "tau": value, "residual": L.tau_residual(x) if value > 0.0 else None}
     if value == 0.0:
@@ -259,6 +289,8 @@ def cmd_verify(args) -> int:
 
 
 def _random_starts(problem: Problem, count: int) -> list[tuple[float, ...]]:
+    import numpy as np
+
     rng = np.random.default_rng(problem.seed)
     starts = []
     while len(starts) < count:
@@ -277,29 +309,17 @@ def _report_payload(report: dynsys.VerificationReport) -> dict:
         "n_samples": report.n_samples,
         "worst_margin": None if math.isinf(report.worst_margin) else report.worst_margin,
         "worst_witness": list(report.worst_witness) if report.worst_witness is not None else None,
-        "notes": _jsonable(report.notes),
+        "notes": report.notes,
     }
     if report.details:
-        payload["details"] = _jsonable(report.details[:16])
+        payload["details"] = report.details[:16]
     return payload
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
 
 
 def _multiplier_from_json(data: dict, nvars: int) -> certs.MultiplierCertificate:
     def gram_data(entry):
-        if entry is None:
-            return None
-        basis = tuple(tuple(int(k) for k in e) for e in entry["basis"])
-        return (basis, np.asarray(entry["Q"], dtype=float))
+        # GramCertificate normalizes the basis and converts Q to an array
+        return None if entry is None else (entry["basis"], entry["Q"])
 
     return certs.MultiplierCertificate(
         U1=parse(data["U1"], nvars),
@@ -348,7 +368,7 @@ def cmd_simulate(args) -> int:
     for t, state in zip(traj.times, traj.states):
         tau = L.tau(state)
         if any(v != 0.0 for v in state):
-            td = L.tau_dot(problem.field, state)
+            td = L.tau_dot(problem.field, state, tau=tau)
         else:
             td = 0.0
         cells = [repr(t)] + [repr(v) for v in state] + [repr(tau), repr(td)]
@@ -369,11 +389,7 @@ def cmd_cert(args) -> int:
 
     if "basis" in data and "Q" in data:
         target = parse(data["target"], problem.nvars)
-        cert = certs.GramCertificate(
-            basis=tuple(tuple(int(k) for k in e) for e in data["basis"]),
-            Q=np.asarray(data["Q"], dtype=float),
-            target=target,
-        )
+        cert = certs.GramCertificate(basis=data["basis"], Q=data["Q"], target=target)
         report = certs.verify_gram(cert)
         payload = {
             "kind": "gram",

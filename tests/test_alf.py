@@ -171,6 +171,19 @@ def test_tau_dot_cubic_field():
         assert abs(L.tau_dot(f, x) - (-c ** 3)) <= 1e-9 * max(1.0, c ** 3)
 
 
+def test_tau_dot_given_tau_is_bit_identical(disk_L, contraction):
+    cubic = PolyVectorField((
+        parse("(x1^2 + x2^2)*(-x1 + 0.5*x2)", 2),
+        parse("(x1^2 + x2^2)*(-0.5*x1 - x2)", 2),
+    ))
+    rng = np.random.default_rng(317)
+    points = [(1.0, 1.0), (3.0, 2.0)]
+    points += [tuple(rng.uniform(-10.0, 10.0, 2).tolist()) for _ in range(200)]
+    for f in (contraction, cubic):
+        for x in points:
+            assert disk_L.tau_dot(f, x, tau=disk_L.tau(x)) == disk_L.tau_dot(f, x)
+
+
 def test_tau_dot_degenerate_gradient(contraction):
     L = HomogenizedLyapunov(parse("-1*(x1^2 + x2^2 - 1)^2", 2))
     with pytest.raises(DegenerateGradientError):

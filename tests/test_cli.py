@@ -1,13 +1,17 @@
+import importlib.util
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from algly import cli
 
 from conftest import ANNULUS_TEXT, DISK_TEXT, HYPERBOLA_TEXT
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_problem(tmp_path, name="problem.json", **overrides):
@@ -285,6 +289,60 @@ def test_missing_field_is_usage_error(tmp_path, capsys):
     code, out = run_cli(capsys, "verify", "--problem", problem)
     assert code == 2
     assert json.loads(out)["error"] == "usage"
+
+
+@pytest.mark.parametrize("overrides, argv", [
+    pytest.param({"nvars": "two"}, ["tau", "--x", "1", "0"], id="nvars-string"),
+    pytest.param({"P": 5}, ["tau", "--x", "1", "0"], id="P-number"),
+    pytest.param({"x0": ["1", "zero"]}, ["simulate"], id="x0-strings"),
+    pytest.param({"x0": [math.nan, 0]}, ["simulate"], id="x0-nan"),
+    pytest.param({"options": {"n_dirs": 0}}, ["verify"], id="n_dirs-zero"),
+    pytest.param({}, ["tau", "--x", "nan", "0"], id="x-nan"),
+    pytest.param({}, ["tau", "--x", "inf", "0"], id="x-inf"),
+])
+def test_malformed_input_is_usage_error(tmp_path, capsys, overrides, argv):
+    problem = write_problem(tmp_path, **overrides)
+    code, out = run_cli(capsys, argv[0], "--problem", problem, *argv[1:])
+    assert code == 2
+    assert json.loads(out)["error"] == "usage"
+
+
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_import_loads_every_traced_module_but_not_numpy():
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    traced = {owner.partition(":")[0] for _, owner, _, _ in tracer.TARGETS}
+    proc = _python("import json, sys, algly.cli; print(json.dumps(sorted(sys.modules)))")
+    loaded = set(json.loads(proc.stdout))
+    assert traced <= loaded
+    assert "numpy" not in loaded
+
+
+def test_two_dimensional_commands_run_without_numpy(tmp_path):
+    disk = str(ROOT / "problems" / "disk.json")
+    runs = [
+        ["decompose"],
+        ["tau", "--x", "1", "1"],
+        ["contour", "--n-theta", "32"],
+        ["simulate", "--T", "0.05"],
+    ]
+    argvs = [[cmd, "--problem", disk, "--out", str(tmp_path / f"{cmd}.out"), *rest]
+             for cmd, *rest in runs]
+    code = (
+        "import json, sys\n"
+        "from algly import cli\n"
+        "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, 'numpy' in sys.modules]))\n"
+    )
+    codes, numpy_loaded = json.loads(_python(code, json.dumps(argvs)).stdout)
+    assert codes == [0] * len(runs)
+    assert not numpy_loaded
 
 
 def test_module_entry_point(tmp_path):
