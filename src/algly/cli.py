@@ -80,6 +80,40 @@ def _is_finite(value) -> bool:
     return _is_int(value) and abs(value) <= sys.float_info.max
 
 
+def _is_count(value) -> bool:
+    return _is_int(value) and value >= 1
+
+
+# Run settings a subcommand may take: flag attribute -> (options key,
+# default, check, what the check asks for).
+_SETTINGS = {
+    "n_dirs": ("n_dirs", 4096, _is_count, "a positive integer"),
+    "n_theta": ("n_theta", 360, _is_count, "a positive integer"),
+    "h": ("h", 1e-3, lambda v: _is_finite(v) and v > 0, "a positive finite number"),
+    "T": ("T", 1.0, lambda v: _is_finite(v) and v >= 0, "a non-negative finite number"),
+    "min_margin": ("strict_tol", 0.0, _is_finite, "a finite number"),
+    "levels": ("levels", [0.25, 0.5, 1.0],
+               lambda v: isinstance(v, list) and len(v) > 0 and all(_is_finite(x) for x in v),
+               "a non-empty list of finite numbers"),
+}
+
+
+def _settings(args, options: dict) -> dict:
+    """The run settings of this subcommand: each flag if given, else its
+    file option, else the default, checked after the override."""
+    out = {}
+    for attr, (key, default, check, wanted) in _SETTINGS.items():
+        if not hasattr(args, attr):
+            continue
+        flag = getattr(args, attr)
+        value = flag if flag is not None else options.get(key, default)
+        if not check(value):
+            source = "--" + attr.replace("_", "-") if flag is not None else f"options.{key}"
+            raise UsageError(f"{source} must be {wanted}, got {value!r}")
+        out[attr] = value
+    return out
+
+
 def load_problem(path: str, seed_flag: int | None = None) -> Problem:
     try:
         with open(path) as fh:
@@ -100,7 +134,7 @@ def load_problem(path: str, seed_flag: int | None = None) -> Problem:
     if not isinstance(options, dict):
         raise UsageError("options must be a JSON object")
     for key in _COUNT_OPTIONS:
-        if key in options and not (_is_int(options[key]) and options[key] >= 1):
+        if key in options and not _is_count(options[key]):
             raise UsageError(f"options.{key} must be a positive integer, got {options[key]!r}")
     for key in _REAL_OPTIONS:
         if key in options and not _is_finite(options[key]):
@@ -213,11 +247,11 @@ def cmd_verify(args) -> int:
     problem = load_problem(args.problem, args.seed)
     if problem.field is None:
         raise UsageError("verify needs a 'field' entry in the problem file")
-    opts = problem.options
-    n_dirs = int(args.n_dirs if args.n_dirs is not None else opts.get("n_dirs", 4096))
-    h = float(args.h if args.h is not None else opts.get("h", 1e-3))
-    T = float(args.T if args.T is not None else opts.get("T", 1.0))
-    strict_tol = float(args.min_margin if args.min_margin is not None else opts.get("strict_tol", 0.0))
+    settings = _settings(args, problem.options)
+    n_dirs = settings["n_dirs"]
+    h = float(settings["h"])
+    T = float(settings["T"])
+    strict_tol = float(settings["min_margin"])
 
     checks: dict[str, dict] = {}
     origin_value = problem.P.eval((0.0,) * problem.nvars)
@@ -334,8 +368,9 @@ def cmd_contour(args) -> int:
     if problem.nvars != 2:
         sys.stderr.write("contour emission is 2D-only\n")
         return EXIT_DIMENSION
-    levels = list(args.levels) if args.levels else [float(v) for v in problem.options.get("levels", [0.25, 0.5, 1.0])]
-    n_theta = int(args.n_theta if args.n_theta is not None else problem.options.get("n_theta", 360))
+    settings = _settings(args, problem.options)
+    levels = [float(v) for v in settings["levels"]]
+    n_theta = settings["n_theta"]
     L = build_lyapunov(problem)
     # one root solve per direction; each level is an exact scaling of the
     # unit-level boundary point d / tau(d)
@@ -359,8 +394,9 @@ def cmd_simulate(args) -> int:
         raise UsageError("simulate needs a 'field' entry in the problem file")
     if problem.x0 is None:
         raise UsageError("simulate needs an 'x0' entry in the problem file")
-    h = float(args.h if args.h is not None else problem.options.get("h", 1e-3))
-    T = float(args.T if args.T is not None else problem.options.get("T", 1.0))
+    settings = _settings(args, problem.options)
+    h = float(settings["h"])
+    T = float(settings["T"])
     L = build_lyapunov(problem)
     traj = dynsys.rk4(problem.field, problem.x0, h, T)
     header = "t," + ",".join(f"x{i + 1}" for i in range(problem.nvars)) + ",tau,tau_dot"

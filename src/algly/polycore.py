@@ -260,6 +260,16 @@ def _term_text(mag: float, exponents: Exponents, leading_negative: bool) -> str:
 # Parser
 # ---------------------------------------------------------------------------
 
+# Expansion budget of the parser: a product or power is refused before it
+# is expanded when its total degree could exceed MAX_PARSE_DEGREE, or its
+# term count could exceed MAX_PARSE_TERMS.  The term count is bounded by
+# the smaller of the dense count C(d+n, n) of degree d in n variables and
+# the sparse one: |a|*|b| for a product, C(|a|+k-1, k) for a k-th power.
+# At these limits one expansion takes under a second; (x1+1)^1000 takes
+# about 0.6 s and (x1+x2+1)^61 about 0.4 s on a 2-vCPU machine.
+MAX_PARSE_DEGREE = 1000
+MAX_PARSE_TERMS = 2000
+
 _NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 _VAR_RE = re.compile(r"x(\d+)")
 _OPS = "+-*^()"
@@ -334,22 +344,37 @@ class _Parser:
             else:
                 return poly
 
+    def check_budget(self, degree: int, sparse_terms: int, offset: int) -> None:
+        if degree > MAX_PARSE_DEGREE:
+            raise ParseError(
+                f"expansion to degree {degree} exceeds the limit {MAX_PARSE_DEGREE}", offset)
+        terms = min(math.comb(degree + self.nvars, self.nvars), sparse_terms)
+        if terms > MAX_PARSE_TERMS:
+            raise ParseError(
+                f"expansion to up to {terms} terms exceeds the limit {MAX_PARSE_TERMS}", offset)
+
     def term(self) -> MultiPoly:
         poly = self.factor()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, offset = self.peek()
             if kind == "op" and text == "*":
                 self.advance()
-                poly = poly * self.factor()
+                rhs = self.factor()
+                self.check_budget(max(poly.degree(), 0) + max(rhs.degree(), 0),
+                                  len(poly.terms) * len(rhs.terms), offset)
+                poly = poly * rhs
             else:
                 return poly
 
     def factor(self) -> MultiPoly:
         poly = self.base()
-        kind, text, _ = self.peek()
+        kind, text, offset = self.peek()
         if kind == "op" and text == "^":
             self.advance()
-            poly = poly ** self.uint_exponent()
+            k = self.uint_exponent()
+            self.check_budget(max(poly.degree(), 0) * k,
+                              math.comb(max(len(poly.terms), 1) + k - 1, k), offset)
+            poly = poly ** k
         return poly
 
     def base(self) -> MultiPoly:
@@ -378,7 +403,10 @@ class _Parser:
             raise ParseError(f"expected exponent, found {text or 'end of input'!r}", offset)
         if not text.isdigit():
             raise ExponentError(f"exponent must be a non-negative integer literal, got {text!r}", offset)
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's limit on integer digits
+            raise ExponentError(f"exponent of {len(text)} digits is too large", offset) from None
 
 
 def parse(text: str, nvars: int) -> MultiPoly:

@@ -1,11 +1,21 @@
 """Isolation and refinement of all real roots of a univariate polynomial on (0, inf).
 
-Pipeline: Sturm-chain sign-variation counting isolates the distinct
-positive roots below the Cauchy bound B = 1 + max|c_k|/|c_lead|, each
-isolating interval is narrowed by bisection to width 1e-13*B (ordinary
-sign bisection when the bracket straddles a sign change, Sturm-count
-bisection otherwise, which covers even-multiplicity roots), and at most
-five Newton steps polish the result without ever leaving the bracket.
+Pipeline: after factoring out t^m, the sign changes V of the coefficients
+decide the route.  By Descartes' rule of signs V = 0 means no positive
+root and V = 1 means exactly one, and it is simple; both counts are
+certified, since the signs of floats are exact, and no Sturm chain is
+built.  For V >= 2 a float Sturm chain counts the distinct positive
+roots as V(0) - V(inf), read off its members' constant terms and leading
+coefficients.  That total, and the counts that split (0, B] into
+isolating intervals below the Cauchy bound B = 1 + max|c_k|/|c_lead|,
+are float evaluations and are not certified.  Each isolating interval is
+narrowed by bisection to width 1e-13*B (ordinary sign bisection when the
+bracket straddles a sign change, Sturm-count bisection otherwise, which
+covers even-multiplicity roots), and at most five Newton steps polish
+the result without ever leaving the bracket.  A sign-change root that
+still misses the residual bound |q(r)| <= abs_tol + rel_tol*S(r), which
+happens when the root lies far below B, is bisected on to float
+resolution and polished again.
 
 Sturm remainders are renormalized by their max-abs coefficient and an
 evaluated value counts as zero below 1e-12 of the member's own scale;
@@ -153,6 +163,18 @@ def _sturm_chain(coeffs: list[float]) -> list[list[float]]:
     return chain
 
 
+def _sign_changes(values) -> int:
+    """Sign changes along a sequence of floats; zeros are skipped."""
+    count = 0
+    prev = 0.0
+    for v in values:
+        if v != 0.0:
+            if prev != 0.0 and (v < 0.0) != (prev < 0.0):
+                count += 1
+            prev = v
+    return count
+
+
 def _sign_variations(chain: list[list[float]], t: float) -> int:
     prev = 0
     count = 0
@@ -206,8 +228,30 @@ def sturm_count(q: UniPoly, a: float, b: float) -> int:
     return _count(chain, coeffs, a, b)
 
 
-def _refine(coeffs: list[float], chain: list[list[float]], lo: float, hi: float, width: float) -> float:
-    """Narrow an isolating interval (lo, hi] to `width`, then Newton-polish."""
+def _newton_polish(coeffs: list[float], dcoeffs: list[float], lo: float, hi: float) -> float:
+    """At most _NEWTON_STEPS Newton steps from the midpoint, never leaving [lo, hi]."""
+    root = 0.5 * (lo + hi)
+    for _ in range(_NEWTON_STEPS):
+        fr = _eval_list(coeffs, root)
+        if fr == 0.0:
+            break
+        dfr = _eval_list(dcoeffs, root)
+        if dfr == 0.0:
+            break
+        cand = root - fr / dfr
+        if cand < lo or cand > hi or cand == root:
+            break  # Newton left the bracket; the bisection value stands
+        root = cand
+    return root
+
+
+def _refine(coeffs: list[float], chain: list[list[float]] | None, lo: float, hi: float,
+            width: float, abs_tol: float, rel_tol: float) -> float:
+    """Narrow an isolating interval (lo, hi] to `width`, then Newton-polish.
+
+    `chain` may be None when the caller built no Sturm chain; it is then
+    built here if the bracket's end values do not change sign in float.
+    """
     fhi = _eval_list(coeffs, hi)
     if fhi == 0.0:
         # hi is an exact root and the interval holds exactly one root
@@ -219,23 +263,32 @@ def _refine(coeffs: list[float], chain: list[list[float]], lo: float, hi: float,
     dcoeffs = _deriv_list(coeffs)
     if (flo < 0.0) != (fhi < 0.0):
         neg_lo = flo < 0.0
-        while hi - lo > width:
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            fm = _eval_list(coeffs, mid)
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if (fm < 0.0) == neg_lo:
-                lo = mid
-            else:
-                hi = mid
+        while True:
+            while hi - lo > width:
+                mid = 0.5 * (lo + hi)
+                if mid <= lo or mid >= hi:
+                    break
+                fm = _eval_list(coeffs, mid)
+                if fm == 0.0:
+                    lo = hi = mid
+                    break
+                if (fm < 0.0) == neg_lo:
+                    lo = mid
+                else:
+                    hi = mid
+            root = _newton_polish(coeffs, dcoeffs, lo, hi)
+            if width == 0.0 or abs(_eval_list(coeffs, root)) <= abs_tol + rel_tol * _abs_eval_list(coeffs, root):
+                return root
+            # A width relative to the root bound is too coarse for a root
+            # far below that bound: bisect on to float resolution.
+            width = 0.0
     else:
         # No sign change across the bracket: an even-multiplicity root.
         # Counts degrade once |q(mid)| sinks into the sign-threshold band,
         # so bisect on counts only down to that band and finish on the
         # derivative's sign change (exact, and present for even orders).
+        if chain is None:
+            chain = _sturm_chain(coeffs)
         while hi - lo > width:
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
@@ -263,23 +316,19 @@ def _refine(coeffs: list[float], chain: list[list[float]], lo: float, hi: float,
                 else:
                     hi = mid
             return 0.5 * (lo + hi)
-    root = 0.5 * (lo + hi)
-    for _ in range(_NEWTON_STEPS):
-        fr = _eval_list(coeffs, root)
-        if fr == 0.0:
-            break
-        dfr = _eval_list(dcoeffs, root)
-        if dfr == 0.0:
-            break
-        cand = root - fr / dfr
-        if cand < lo or cand > hi or cand == root:
-            break  # Newton left the bracket; the bisection value stands
-        root = cand
-    return root
+    return _newton_polish(coeffs, dcoeffs, lo, hi)
 
 
 def positive_roots(q: UniPoly, abs_tol: float = 1e-12, rel_tol: float = 1e-12) -> RootList:
     """All distinct roots of q in (0, inf), sorted ascending.
+
+    The count comes from the coefficient sign changes V (t^m factored
+    out).  V = 0 gives no root and V = 1 exactly one simple root in
+    (0, B], refined with no Sturm chain: Descartes' rule makes both
+    counts certified.  For V >= 2 the total is V(0) - V(inf) of a float
+    Sturm chain, from its members' constant terms and leading
+    coefficients, and the chain splits (0, B] into isolating intervals;
+    these counts are float evaluations and are not certified.
 
     Every returned root r satisfies |q(r)| <= abs_tol + rel_tol * S(r)
     with S(r) = sum_k |c_k| r^k.  A root whose derivative value is tiny
@@ -301,11 +350,17 @@ def positive_roots(q: UniPoly, abs_tol: float = 1e-12, rel_tol: float = 1e-12) -
         return RootList((), (), bound=1.0)
     bound = 1.0 + max(abs(c) for c in coeffs[:-1]) / abs(coeffs[-1])
     width = REFINE_WIDTH_FACTOR * bound
-    chain = _sturm_chain(coeffs)
-
-    total = _count(chain, coeffs, 0.0, bound)
+    variations = _sign_changes(coeffs)
+    if variations == 0:
+        return RootList((), (), bound=bound)
     intervals: list[tuple[float, float, bool]] = []  # (lo, hi, cluster_flag)
-    stack = [(0.0, bound, total)] if total > 0 else []
+    if variations == 1:
+        chain = None
+        stack = [(0.0, bound, 1)]
+    else:
+        chain = _sturm_chain(coeffs)
+        total = _sign_changes(m[0] for m in chain) - _sign_changes(m[-1] for m in chain)
+        stack = [(0.0, bound, total)] if total > 0 else []
     while stack:
         lo, hi, k = stack.pop()
         if k == 0:
@@ -325,7 +380,7 @@ def positive_roots(q: UniPoly, abs_tol: float = 1e-12, rel_tol: float = 1e-12) -
     dcoeffs = _deriv_list(coeffs)
     found: list[tuple[float, bool]] = []
     for lo, hi, clustered in intervals:
-        r = _refine(coeffs, chain, lo, hi, width)
+        r = _refine(coeffs, chain, lo, hi, width, abs_tol, rel_tol)
         dscale = _abs_eval_list(dcoeffs, r) if dcoeffs else 0.0
         flat = abs(_eval_list(dcoeffs, r)) <= _MULTIPLE_EPS * dscale if dcoeffs else True
         found.append((r, clustered or flat))

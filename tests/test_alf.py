@@ -214,3 +214,15 @@ def test_sample_directions_deterministic_and_unit():
     grid = sample_directions(2, 4, seed=0)
     assert grid[0] == (1.0, 0.0)
     assert abs(grid[1][1] - 1.0) <= 1e-15
+
+
+def test_tau_on_a_large_disk():
+    # x1^2 + x2^2 <= 1e12 has radius 1e6, so tau((1, 0)) = 1e-6
+    L = HomogenizedLyapunov(parse("x1^2+x2^2-1e12", 2))
+    assert L.tau((1.0, 0.0)) == 1e-6
+
+
+@pytest.mark.parametrize("text", ["x1^2+x2^2-1e-12", "1e6*x1^2+x2^2-1e-6"])
+def test_star_convex_small_ellipses(text):
+    report = HomogenizedLyapunov(parse(text, 2)).check_star_convex(256)
+    assert report.passed and report.failures == ()

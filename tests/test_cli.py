@@ -93,6 +93,15 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert payload["offset"] == 1
 
 
+def test_parse_budget_exit_code(tmp_path, capsys):
+    problem = write_problem(tmp_path, P="(x1+1)^3000 - x2")
+    code, out = run_cli(capsys, "decompose", "--problem", problem)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error"] == "parse"
+    assert payload["offset"] == 6
+
+
 def test_verify_all_pass(tmp_path, capsys):
     problem = write_problem(tmp_path, multiplier={
         "U1": "1", "U2": "1",
@@ -305,6 +314,33 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, overrides, argv):
     code, out = run_cli(capsys, argv[0], "--problem", problem, *argv[1:])
     assert code == 2
     assert json.loads(out)["error"] == "usage"
+
+
+@pytest.mark.parametrize("options, argv, source", [
+    pytest.param({}, ["verify", "--n-dirs", "0"], "--n-dirs", id="verify-n-dirs-zero"),
+    pytest.param({}, ["verify", "--h", "0"], "--h", id="verify-h-zero"),
+    pytest.param({}, ["verify", "--T", "-1"], "--T", id="verify-T-negative"),
+    pytest.param({}, ["verify", "--min-margin", "nan"], "--min-margin", id="verify-min-margin-nan"),
+    pytest.param({"h": 0}, ["verify"], "options.h", id="verify-options-h-zero"),
+    pytest.param({}, ["simulate", "--h", "0"], "--h", id="simulate-h-zero"),
+    pytest.param({}, ["simulate", "--h", "nan"], "--h", id="simulate-h-nan"),
+    pytest.param({}, ["simulate", "--h", "-0.001"], "--h", id="simulate-h-negative"),
+    pytest.param({}, ["simulate", "--T", "-1"], "--T", id="simulate-T-negative"),
+    pytest.param({}, ["simulate", "--T", "inf"], "--T", id="simulate-T-inf"),
+    pytest.param({"h": 0}, ["simulate"], "options.h", id="simulate-options-h-zero"),
+    pytest.param({"T": -1}, ["simulate"], "options.T", id="simulate-options-T-negative"),
+    pytest.param({}, ["contour", "--n-theta", "0"], "--n-theta", id="contour-n-theta-zero"),
+    pytest.param({}, ["contour", "--levels", "1", "inf"], "--levels", id="contour-levels-inf"),
+    pytest.param({"levels": []}, ["contour"], "options.levels", id="contour-options-levels-empty"),
+    pytest.param({"levels": ["1"]}, ["contour"], "options.levels", id="contour-options-levels-string"),
+])
+def test_bad_run_setting_is_usage_error(tmp_path, capsys, options, argv, source):
+    problem = write_problem(tmp_path, options={"seed": 11, "n_dirs": 256, "T": 0.5, **options})
+    code, out = run_cli(capsys, argv[0], "--problem", problem, *argv[1:])
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error"] == "usage"
+    assert payload["message"].startswith(source + " must be")
 
 
 def _python(code: str, *args: str) -> subprocess.CompletedProcess:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,28 @@ def test_parse_errors_with_offsets(text, exc, offset):
     with pytest.raises(exc) as err:
         parse(text, 2)
     assert err.value.offset == offset
+
+
+@pytest.mark.parametrize("text,nvars,offset", [
+    ("(x1+1)^3000 - 2", 1, 6),                 # degree past MAX_PARSE_DEGREE
+    ("(x1+1)^100000 - 2", 1, 6),
+    ("x2 * (x1+1)^1000", 2, 3),                # degree 1001 only once multiplied
+    ("(x1+x2+1)^62", 2, 9),                    # dense bound C(64, 2) = 2016 terms
+    ("(x1+x2+x3+x4+x5+x6)^5 * (x1+x2+x3+x4+x5+x6)^5", 6, 22),  # C(16, 6) = 8008
+    ("2^" + "9" * 5000, 1, 2),                 # more digits than int() accepts
+])
+def test_parse_budget_fails_fast_with_offset(text, nvars, offset):
+    t0 = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse(text, nvars)
+    assert time.perf_counter() - t0 < 1.0
+    assert err.value.offset == offset
+
+
+def test_parse_budget_admits_sparse_high_dimension():
+    # the dense bound C(4 + 20, 20) is 10626, but x1^4 has one term
+    P = parse("x1^4 + x7^2*x20^2 - 1", 20)
+    assert len(P.terms) == 3 and P.degree() == 4
 
 
 def test_eval_disk_points():

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from algly import roots
 from algly.errors import ZeroPolynomialError
 from algly.roots import UniPoly, positive_roots, sturm_count
 
@@ -128,3 +131,84 @@ def test_unipoly_degree_deflation():
     q = UniPoly([1.0, 2.0, 0.0, 0.0])
     assert q.degree == 1
     assert UniPoly([0.0, 0.0]).is_zero()
+
+
+def _no_chain(coeffs):
+    raise AssertionError("a Sturm chain was built")
+
+
+@pytest.mark.parametrize("coeffs, want", [
+    ([2.0, 3.0, 1.0], ()),                 # V = 0: (t + 1)(t + 2)
+    ([0.0, 0.0, 1.0, 4.0], ()),            # V = 0 after factoring out t^2
+    ([-1.0, 0.0, 1.0], (1.0,)),            # V = 1
+    ([2.0, -4.0, -2.0], None),             # V = 1: the disk ray, sqrt(2) - 1
+    ([0.0, -8.0, 0.0, 0.0, 1.0], (2.0,)),  # V = 1 after factoring out t
+])
+def test_descartes_paths_build_no_sturm_chain(monkeypatch, coeffs, want):
+    monkeypatch.setattr(roots, "_sturm_chain", _no_chain)
+    rl = positive_roots(UniPoly(coeffs))
+    if want is None:
+        assert len(rl) == 1 and abs(rl.roots[0] - (math.sqrt(2.0) - 1.0)) <= 1e-12
+    else:
+        assert rl.roots == want
+    assert rl.suspected_multiple == (False,) * len(rl)
+
+
+def test_refine_builds_the_chain_when_the_bracket_ends_share_a_sign():
+    # (t - 1)^2 on (0, 3]: no sign change at the ends, so the count
+    # bisection needs a chain that the caller did not build
+    coeffs = [1.0, -2.0, 1.0]
+    r = roots._refine(coeffs, None, 0.0, 3.0, 3e-13, 1e-12, 1e-12)
+    assert abs(r - 1.0) <= 1e-6
+
+
+_NONZERO = st.floats(-8.0, 8.0).map(lambda e: 10.0 ** e)
+_MAGNITUDE = st.one_of(st.just(0.0), _NONZERO)
+
+
+@st.composite
+def _signed_coefficients(draw, changes: int):
+    """Magnitudes 0 or 1e-8..1e8 with `changes` (0 or 1) sign changes,
+    between a low and a high part that each hold a nonzero."""
+    low = draw(st.lists(_MAGNITUDE, max_size=4)) + [draw(_NONZERO)]
+    high = [draw(_NONZERO)] + draw(st.lists(_MAGNITUDE, max_size=4))
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    flip = -sign if changes else sign
+    return [sign * m for m in low] + [flip * m for m in high]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_signed_coefficients(1))
+# Cauchy bound about 1e12, root 7e-4: the 1e-13*B bisection width alone
+# leaves a root that misses the residual bound
+@example([0.0196, 3e-8, 0.0, -5.4e7, -0.0198, 0.0, -5.2e7, -4.3, -5.2e-5])
+def test_one_sign_change_gives_one_root_within_tolerance(coeffs):
+    q = UniPoly(coeffs)
+    abs_tol, rel_tol = 1e-12, 1e-12
+    rl = positive_roots(q, abs_tol, rel_tol)
+    assert len(rl) == 1 and rl.suspected_multiple == (False,)
+    r = rl.roots[0]
+    assert abs(q.eval(r)) <= abs_tol + rel_tol * q.abs_eval(r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_signed_coefficients(0))
+def test_no_sign_change_gives_no_root(coeffs):
+    assert positive_roots(UniPoly(coeffs)).roots == ()
+
+
+@pytest.mark.parametrize("n", range(2, 16))
+def test_sturm_total_on_integer_root_products(n):
+    # V >= 2 still counts on the float chain, now as V(0) - V(inf); the
+    # chain isolates all n roots of prod (t - k) up to n = 15
+    q = UniPoly(expand_from_roots([float(k) for k in range(1, n + 1)]))
+    rl = positive_roots(q)
+    assert len(rl) == n == sturm_count(q, 0.0, rl.bound)
+
+
+def test_sturm_total_on_annulus_radial():
+    # -(r^2 - 1)(r^2 - 4): the annulus ray meets the boundary at r = 1 and 2
+    q = UniPoly([-4.0, 0.0, 5.0, 0.0, -1.0])
+    rl = positive_roots(q)
+    assert rl.roots == (1.0, 2.0)
+    assert sturm_count(q, 0.0, rl.bound) == 2
