@@ -102,15 +102,19 @@ def _settings(args, options: dict) -> dict:
     """The run settings of this subcommand: each flag if given, else its
     file option, else the default, checked after the override."""
     out = {}
+    sources = {}
     for attr, (key, default, check, wanted) in _SETTINGS.items():
         if not hasattr(args, attr):
             continue
         flag = getattr(args, attr)
         value = flag if flag is not None else options.get(key, default)
+        sources[attr] = "--" + attr.replace("_", "-") if flag is not None else f"options.{key}"
         if not check(value):
-            source = "--" + attr.replace("_", "-") if flag is not None else f"options.{key}"
-            raise UsageError(f"{source} must be {wanted}, got {value!r}")
+            raise UsageError(f"{sources[attr]} must be {wanted}, got {value!r}")
         out[attr] = value
+    if "h" in out and out["T"] / out["h"] > dynsys.MAX_STEPS:
+        raise UsageError(f"{sources['T']} / {sources['h']} must be at most {dynsys.MAX_STEPS} "
+                         f"integration steps, got {out['T'] / out['h']!r}")
     return out
 
 
@@ -165,14 +169,18 @@ def load_problem(path: str, seed_flag: int | None = None) -> Problem:
 
     env_seed = os.environ.get("ALGLY_SEED")
     if seed_flag is not None:
-        seed = seed_flag
+        source, seed = "--seed", seed_flag
     elif env_seed is not None:
+        source = "ALGLY_SEED"
         try:
             seed = int(env_seed)
         except ValueError:
-            raise UsageError(f"ALGLY_SEED must be an integer, got {env_seed!r}") from None
+            seed = env_seed
     else:
-        seed = int(options.get("seed", 0))
+        source, seed = "options.seed", options.get("seed", 0)
+    # numpy's generators refuse negative seeds
+    if not (_is_int(seed) and seed >= 0):
+        raise UsageError(f"{source} must be a non-negative integer, got {seed!r}")
 
     return Problem(
         nvars=nvars,

@@ -28,6 +28,8 @@ DETAILS_CAP = 64
 # States beyond this magnitude count as blow-up; keeping them finite but
 # enormous would only overflow every later polynomial evaluation.
 DIVERGENCE_CAP = 1e30
+# Most RK4 steps one trajectory may take (T/h); each step's state is kept.
+MAX_STEPS = 1_000_000
 
 
 def check_homogeneity(components: Sequence[MultiPoly]) -> int:
@@ -130,13 +132,15 @@ def _rk4_step(f: PolyVectorField, x: tuple[float, ...], h: float) -> tuple[float
 
 def rk4(f: PolyVectorField, x0: Sequence[float], h: float, T: float) -> Trajectory:
     """Classical fixed-step Runge-Kutta; a final partial step covers T
-    when T/h is not integral.  States that stop being finite (or exceed
-    DIVERGENCE_CAP in magnitude) truncate the trajectory and set the
-    `diverged` flag."""
+    when T/h is not integral, and T/h may not pass MAX_STEPS.  States
+    that stop being finite (or exceed DIVERGENCE_CAP in magnitude)
+    truncate the trajectory and set the `diverged` flag."""
     if h <= 0.0:
         raise ValueError(f"step must be positive, got {h}")
     if T < 0.0:
         raise ValueError(f"horizon must be non-negative, got {T}")
+    if T / h > MAX_STEPS:
+        raise ValueError(f"T/h = {T / h!r} steps exceeds the step budget MAX_STEPS = {MAX_STEPS}")
     if len(x0) != f.nvars:
         raise DimensionMismatchError(f"x0 has length {len(x0)}, expected {f.nvars}")
     x = tuple(float(v) for v in x0)

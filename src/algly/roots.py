@@ -8,14 +8,17 @@ built.  For V >= 2 a float Sturm chain counts the distinct positive
 roots as V(0) - V(inf), read off its members' constant terms and leading
 coefficients.  That total, and the counts that split (0, B] into
 isolating intervals below the Cauchy bound B = 1 + max|c_k|/|c_lead|,
-are float evaluations and are not certified.  Each isolating interval is
-narrowed by bisection to width 1e-13*B (ordinary sign bisection when the
-bracket straddles a sign change, Sturm-count bisection otherwise, which
-covers even-multiplicity roots), and at most five Newton steps polish
-the result without ever leaving the bracket.  A sign-change root that
-still misses the residual bound |q(r)| <= abs_tol + rel_tol*S(r), which
-happens when the root lies far below B, is bisected on to float
-resolution and polished again.
+are float evaluations and are not certified.
+
+Each isolating interval holds one root.  Where the polynomial changes
+sign across it, a bracketed Newton solver (rtsafe-style: Newton while
+the step stays inside the sign bracket and keeps shrinking, bisection
+otherwise) refines the root until the Newton step is a few ulps of the
+root.  A root that misses the residual bound
+|q(r)| <= abs_tol + rel_tol*S(r) is refined again to float resolution.
+An even-multiplicity root has no sign change: Sturm-count bisection
+narrows its interval, and the same solver finds it as the sign-change
+root of the derivative.
 
 Sturm remainders are renormalized by their max-abs coefficient and an
 evaluated value counts as zero below 1e-12 of the member's own scale;
@@ -31,12 +34,12 @@ from dataclasses import dataclass
 
 from .errors import ZeroPolynomialError
 
-REFINE_WIDTH_FACTOR = 1e-13   # target bracket width, relative to the root bound
+REFINE_WIDTH_FACTOR = 1e-13   # isolation and count-bisection width, relative to the root bound
 _SIGN_EPS = 1e-12             # evaluated value treated as zero below this x scale
 _REMAINDER_EPS = 1e-12        # chain terminates when a remainder is this small
 _LEAD_TRIM_EPS = 1e-13        # drop denormal leading coefficients inside remainders
 _MULTIPLE_EPS = 1e-8          # |q'(root)| below this x derivative scale => suspected multiple
-_NEWTON_STEPS = 5
+_STOP_ULPS = 4 * 2.220446049250313e-16  # Newton step, relative to x, that ends refinement
 
 
 class UniPoly:
@@ -60,20 +63,6 @@ class UniPoly:
 
     def is_zero(self) -> bool:
         return self.degree < 0
-
-    def eval(self, t: float) -> float:
-        acc = 0.0
-        for k in range(self.degree, -1, -1):
-            acc = acc * t + self.coeffs[k]
-        return acc
-
-    def abs_eval(self, t: float) -> float:
-        """Sum of |c_k| * |t|^k; the natural residual scale at t."""
-        s = abs(t)
-        acc = 0.0
-        for k in range(self.degree, -1, -1):
-            acc = acc * s + abs(self.coeffs[k])
-        return acc
 
     def deriv(self) -> "UniPoly":
         if self.degree < 1:
@@ -228,95 +217,104 @@ def sturm_count(q: UniPoly, a: float, b: float) -> int:
     return _count(chain, coeffs, a, b)
 
 
-def _newton_polish(coeffs: list[float], dcoeffs: list[float], lo: float, hi: float) -> float:
-    """At most _NEWTON_STEPS Newton steps from the midpoint, never leaving [lo, hi]."""
-    root = 0.5 * (lo + hi)
-    for _ in range(_NEWTON_STEPS):
-        fr = _eval_list(coeffs, root)
-        if fr == 0.0:
-            break
-        dfr = _eval_list(dcoeffs, root)
-        if dfr == 0.0:
-            break
-        cand = root - fr / dfr
-        if cand < lo or cand > hi or cand == root:
-            break  # Newton left the bracket; the bisection value stands
-        root = cand
-    return root
+def _value_and_slope(c: list[float], t: float) -> tuple[float, float]:
+    """c(t) and c'(t) in one Horner pass."""
+    f = df = 0.0
+    for k in range(len(c) - 1, -1, -1):
+        df = df * t + f
+        f = f * t + c[k]
+    return f, df
+
+
+def _bracketed_root(c: list[float], lo: float, hi: float, neg_lo: bool,
+                    stop: float = _STOP_ULPS) -> float:
+    """The root of c in [lo, hi], where c changes sign (c(lo) < 0 iff neg_lo).
+
+    rtsafe-style: a Newton step is taken while it lands inside the sign
+    bracket and is at most half the step before last; otherwise the
+    bracket is bisected.  Every evaluated point narrows the bracket, and the
+    result never leaves it.  Done once the Newton step is at most
+    `stop * x`, even when its candidate falls on or past a bracket end
+    (Newton closes in from one side, so the far end may never move);
+    stop = 0 runs on until the step no longer moves x or the bracket
+    ends are adjacent floats.
+    """
+    x = 0.5 * (lo + hi)
+    last = before = hi - lo  # the last step and the one before it
+    while True:
+        f, df = _value_and_slope(c, x)
+        if f == 0.0:
+            return x
+        if (f < 0.0) == neg_lo:
+            lo = x
+        else:
+            hi = x
+        dx = f / df if df != 0.0 else math.inf
+        cand = x - dx
+        if cand == x or abs(dx) <= stop * x:
+            return min(max(cand, lo), hi)
+        if lo < cand < hi and abs(dx) <= 0.5 * before:
+            before, last = last, abs(dx)
+        else:
+            before, last = last, 0.5 * (hi - lo)
+            cand = lo + last
+            if not lo < cand < hi:
+                return cand
+        x = cand
 
 
 def _refine(coeffs: list[float], chain: list[list[float]] | None, lo: float, hi: float,
             width: float, abs_tol: float, rel_tol: float) -> float:
-    """Narrow an isolating interval (lo, hi] to `width`, then Newton-polish.
+    """The one root of coeffs in the isolating interval (lo, hi].
 
-    `chain` may be None when the caller built no Sturm chain; it is then
-    built here if the bracket's end values do not change sign in float.
+    A sign change across the bracket goes to _bracketed_root; a root that
+    misses the residual bound |q(r)| <= abs_tol + rel_tol*S(r) is refined
+    again down to float resolution.  Without a sign change the root has
+    even multiplicity: Sturm-count bisection narrows the bracket to where
+    |q| sinks into the sign-threshold band, and the root is then the
+    derivative's sign-change root, found by _bracketed_root on q'.
+    `chain` is None when the caller built no Sturm chain (V = 1).  If the
+    end values then share a sign in float, the single simple root lies
+    within rounding of hi, and hi steps past it; should they still share
+    a sign, the chain is built here for the count bisection.
     """
     fhi = _eval_list(coeffs, hi)
     if fhi == 0.0:
         # hi is an exact root and the interval holds exactly one root
         return hi
-    if _eval_list(coeffs, lo) == 0.0:
+    flo = _eval_list(coeffs, lo)
+    if flo == 0.0:
         # lo is a root but lies outside (lo, hi]; step off it to read a sign
         lo = _nudge_off_root(coeffs, lo)
-    flo = _eval_list(coeffs, lo)
-    dcoeffs = _deriv_list(coeffs)
+        flo = _eval_list(coeffs, lo)
+    if chain is None and (flo < 0.0) == (fhi < 0.0):
+        hi = _nudge_off_root(coeffs, hi)
+        fhi = _eval_list(coeffs, hi)
     if (flo < 0.0) != (fhi < 0.0):
-        neg_lo = flo < 0.0
-        while True:
-            while hi - lo > width:
-                mid = 0.5 * (lo + hi)
-                if mid <= lo or mid >= hi:
-                    break
-                fm = _eval_list(coeffs, mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if (fm < 0.0) == neg_lo:
-                    lo = mid
-                else:
-                    hi = mid
-            root = _newton_polish(coeffs, dcoeffs, lo, hi)
-            if width == 0.0 or abs(_eval_list(coeffs, root)) <= abs_tol + rel_tol * _abs_eval_list(coeffs, root):
-                return root
-            # A width relative to the root bound is too coarse for a root
-            # far below that bound: bisect on to float resolution.
-            width = 0.0
-    else:
-        # No sign change across the bracket: an even-multiplicity root.
-        # Counts degrade once |q(mid)| sinks into the sign-threshold band,
-        # so bisect on counts only down to that band and finish on the
-        # derivative's sign change (exact, and present for even orders).
-        if chain is None:
-            chain = _sturm_chain(coeffs)
-        while hi - lo > width:
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            if abs(_eval_list(coeffs, mid)) <= _SIGN_EPS * _abs_eval_list(coeffs, mid):
-                break
-            if _count(chain, coeffs, lo, mid) >= 1:
-                hi = mid
-            else:
-                lo = mid
-        dlo = _eval_list(dcoeffs, lo)
-        dhi = _eval_list(dcoeffs, hi)
-        if dlo != 0.0 and dhi != 0.0 and (dlo < 0.0) != (dhi < 0.0):
-            dneg_lo = dlo < 0.0
-            while hi - lo > width:
-                mid = 0.5 * (lo + hi)
-                if mid <= lo or mid >= hi:
-                    break
-                dm = _eval_list(dcoeffs, mid)
-                if dm == 0.0:
-                    lo = hi = mid
-                    break
-                if (dm < 0.0) == dneg_lo:
-                    lo = mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
-    return _newton_polish(coeffs, dcoeffs, lo, hi)
+        root = _bracketed_root(coeffs, lo, hi, flo < 0.0)
+        if abs(_eval_list(coeffs, root)) > abs_tol + rel_tol * _abs_eval_list(coeffs, root):
+            root = _bracketed_root(coeffs, lo, hi, flo < 0.0, 0.0)
+        return root
+    # Counts degrade once |q(mid)| sinks into the sign-threshold band, so
+    # bisect on counts only down to that band.
+    if chain is None:
+        chain = _sturm_chain(coeffs)
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if abs(_eval_list(coeffs, mid)) <= _SIGN_EPS * _abs_eval_list(coeffs, mid):
+            break
+        if _count(chain, coeffs, lo, mid) >= 1:
+            hi = mid
+        else:
+            lo = mid
+    dcoeffs = _deriv_list(coeffs)
+    dlo = _eval_list(dcoeffs, lo)
+    dhi = _eval_list(dcoeffs, hi)
+    if dlo != 0.0 and dhi != 0.0 and (dlo < 0.0) != (dhi < 0.0):
+        return _bracketed_root(dcoeffs, lo, hi, dlo < 0.0)
+    return 0.5 * (lo + hi)
 
 
 def positive_roots(q: UniPoly, abs_tol: float = 1e-12, rel_tol: float = 1e-12) -> RootList:

@@ -6,6 +6,8 @@ inputs whose answers are known by construction.
 """
 
 import math
+import struct
+from fractions import Fraction
 
 from algly.polycore import MultiPoly
 
@@ -64,3 +66,59 @@ def geometric_roots(rng, count: int, lo: float = 0.1, hi: float = 10.0,
             roots.append(r)
     roots.sort()
     return roots
+
+
+def meets_residual_bound(coeffs, t: float, abs_tol: float, rel_tol: float) -> bool:
+    """|q(t)| <= abs_tol + rel_tol * S(t) with S(t) = sum |c_k| t^k for
+    q = sum c_k t^k, decided exactly in rational arithmetic on the float
+    inputs."""
+    t = Fraction(t)
+    value = scale = Fraction(0)
+    for c in reversed(coeffs):
+        value = value * t + Fraction(c)
+        scale = scale * abs(t) + abs(Fraction(c))
+    return abs(value) <= Fraction(abs_tol) + Fraction(rel_tol) * scale
+
+
+def _float_bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _bits_float(n: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", n))[0]
+
+
+def ulps_apart(a: float, b: float) -> int:
+    """Distance in float steps between two non-negative floats."""
+    return abs(_float_bits(a) - _float_bits(b))
+
+
+def exact_sign_root(coeffs) -> tuple[float, float]:
+    """Adjacent floats a < b across which q changes sign on (0, inf), or
+    a == b where q is exactly zero, for q with exactly one positive root
+    of odd multiplicity.  Bisection over the float bit patterns, with
+    exact signs, from 0 to a float at or above the exact Cauchy bound."""
+    m = next(k for k, c in enumerate(coeffs) if c != 0.0)
+    coeffs = [Fraction(c) for c in coeffs[m:]]
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    bound = 1 + max(abs(c) for c in coeffs[:-1]) / abs(coeffs[-1])
+
+    def sign(t):
+        value = Fraction(0)
+        for c in reversed(coeffs):
+            value = value * Fraction(t) + c
+        return (value > 0) - (value < 0)
+
+    a, b = 0, _float_bits(math.nextafter(float(bound), math.inf))
+    neg_lo = sign(0.0) < 0
+    while b - a > 1:
+        mid = (a + b) // 2
+        s = sign(_bits_float(mid))
+        if s == 0:
+            a = b = mid
+        elif (s < 0) == neg_lo:
+            a = mid
+        else:
+            b = mid
+    return _bits_float(a), _bits_float(b)

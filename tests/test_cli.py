@@ -252,6 +252,32 @@ def test_env_seed_override(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["seed"] == 11
 
 
+@pytest.mark.parametrize("seed_flag, env, options_seed, source", [
+    pytest.param("-1", None, 11, "--seed", id="flag-negative"),
+    pytest.param(None, "-1", 11, "ALGLY_SEED", id="env-negative"),
+    pytest.param(None, "1.5", 11, "ALGLY_SEED", id="env-not-integer"),
+    pytest.param(None, None, -1, "options.seed", id="options-negative"),
+    pytest.param(None, None, 1.5, "options.seed", id="options-float"),
+    pytest.param(None, None, "3", "options.seed", id="options-string"),
+])
+def test_bad_seed_is_usage_error(tmp_path, capsys, monkeypatch, seed_flag, env, options_seed, source):
+    # a 3D problem without x0: verify would draw Gaussian directions and
+    # random starts from numpy, which refuses a negative seed
+    problem = write_problem(tmp_path, nvars=3, P="x1^2 + x2^2 + x3^2 - 1",
+                            field={"matrix": [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]}, x0=None,
+                            options={"seed": options_seed, "n_dirs": 64, "T": 0.1})
+    if env is None:
+        monkeypatch.delenv("ALGLY_SEED", raising=False)
+    else:
+        monkeypatch.setenv("ALGLY_SEED", env)
+    argv = ["verify", "--problem", problem] + (["--seed", seed_flag] if seed_flag else [])
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error"] == "usage"
+    assert payload["message"].startswith(source + " must be a non-negative integer")
+
+
 def test_cert_command_gram(tmp_path, capsys):
     problem = write_problem(tmp_path)
     cert = tmp_path / "gram.json"
@@ -333,6 +359,11 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, overrides, argv):
     pytest.param({}, ["contour", "--levels", "1", "inf"], "--levels", id="contour-levels-inf"),
     pytest.param({"levels": []}, ["contour"], "options.levels", id="contour-options-levels-empty"),
     pytest.param({"levels": ["1"]}, ["contour"], "options.levels", id="contour-options-levels-string"),
+    # T/h past the step budget is refused before any step runs
+    pytest.param({}, ["simulate", "--h", "1e-300", "--T", "1"], "--T / --h", id="simulate-h-tiny"),
+    pytest.param({}, ["simulate", "--h", "1e-7", "--T", "1000"], "--T / --h", id="simulate-steps-1e10"),
+    pytest.param({}, ["verify", "--h", "1e-7"], "options.T / --h", id="verify-steps-5e6"),
+    pytest.param({"h": 1e-7, "T": 1000}, ["simulate"], "options.T / options.h", id="simulate-options-steps"),
 ])
 def test_bad_run_setting_is_usage_error(tmp_path, capsys, options, argv, source):
     problem = write_problem(tmp_path, options={"seed": 11, "n_dirs": 256, "T": 0.5, **options})

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from algly.dynsys import (
+    MAX_STEPS,
     PolyVectorField,
     check_decrease,
     check_homogeneity,
@@ -88,6 +89,13 @@ def test_rk4_step_validation(contraction):
         rk4(contraction, (1.0, 0.0), -0.1, 1.0)
     with pytest.raises(DimensionMismatchError):
         rk4(contraction, (1.0,), 0.1, 1.0)
+
+
+@pytest.mark.parametrize("h, T", [(1e-300, 1.0), (1e-7, 1000.0), (1.0, MAX_STEPS + 1.0)])
+def test_rk4_refuses_runs_past_the_step_budget(contraction, h, T):
+    # refused before the first step, so the oversized run never starts
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        rk4(contraction, (1.0, 0.0), h, T)
 
 
 def test_rk4_divergence_flagged():

@@ -9,7 +9,13 @@ from algly import roots
 from algly.errors import ZeroPolynomialError
 from algly.roots import UniPoly, positive_roots, sturm_count
 
-from oracles import expand_from_roots, geometric_roots
+from oracles import (
+    exact_sign_root,
+    expand_from_roots,
+    geometric_roots,
+    meets_residual_bound,
+    ulps_apart,
+)
 
 
 def test_disk_ray_quadratic():
@@ -113,10 +119,10 @@ def test_residual_bound_property():
     for _ in range(100):
         deg = int(rng.integers(1, 7))
         planted = geometric_roots(rng, deg)
-        q = UniPoly(expand_from_roots(planted))
-        rl = positive_roots(q, abs_tol, rel_tol)
+        coeffs = expand_from_roots(planted)
+        rl = positive_roots(UniPoly(coeffs), abs_tol, rel_tol)
         for r in rl.roots:
-            assert abs(q.eval(r)) <= abs_tol + rel_tol * q.abs_eval(r)
+            assert meets_residual_bound(coeffs, r, abs_tol, rel_tol)
 
 
 def test_negative_roots_ignored():
@@ -183,12 +189,61 @@ def _signed_coefficients(draw, changes: int):
 # leaves a root that misses the residual bound
 @example([0.0196, 3e-8, 0.0, -5.4e7, -0.0198, 0.0, -5.2e7, -4.3, -5.2e-5])
 def test_one_sign_change_gives_one_root_within_tolerance(coeffs):
-    q = UniPoly(coeffs)
     abs_tol, rel_tol = 1e-12, 1e-12
-    rl = positive_roots(q, abs_tol, rel_tol)
+    rl = positive_roots(UniPoly(coeffs), abs_tol, rel_tol)
     assert len(rl) == 1 and rl.suspected_multiple == (False,)
+    assert meets_residual_bound(coeffs, rl.roots[0], abs_tol, rel_tol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_signed_coefficients(1))
+# the root lies within rounding of the float Cauchy bound, whose float
+# value has the sign of q(0)
+@example([10000000.0, 10000000.0, -0.00031622776601683794])
+@example([10000000.0, 10000000.0, -0.01])
+def test_one_sign_change_root_matches_exact_bisection(coeffs):
+    # Within 4 ulps of the float bracket that exact rational signs give,
+    # or, for a root too ill-conditioned for that, the exact root of q
+    # with every coefficient moved by a few ulps
+    rl = positive_roots(UniPoly(coeffs))
     r = rl.roots[0]
-    assert abs(q.eval(r)) <= abs_tol + rel_tol * q.abs_eval(r)
+    a, b = exact_sign_root(coeffs)
+    near = min(ulps_apart(r, a), ulps_apart(r, b)) <= 4
+    assert near or meets_residual_bound(coeffs, r, 0.0, 8 * len(coeffs) * 2.0 ** -52)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(roots, name)
+
+    def counted(c, *args):
+        calls.append(list(c))
+        return fn(c, *args)
+
+    monkeypatch.setattr(roots, name, counted)
+    return calls
+
+
+def test_disk_ray_refines_in_a_few_newton_passes(monkeypatch):
+    # A disk tau ray: Newton closes in on the root from above, so the
+    # bracket's low end stays at 0.  The refinement must stop once the
+    # Newton step is ulp-sized, not bisect on up from 0.
+    coeffs = [0.028511161220373202, 0.08672382708723914, -2.0]
+    passes = _count_calls(monkeypatch, "_value_and_slope")
+    rl = positive_roots(UniPoly(coeffs))
+    assert len(passes) <= 12
+    a, b = exact_sign_root(coeffs)
+    assert min(ulps_apart(rl.roots[0], a), ulps_apart(rl.roots[0], b)) <= 4
+
+
+def test_even_multiplicity_root_refines_on_the_derivative(monkeypatch):
+    # (t - 1)^2 (t - 3): no sign change at the double root, which is
+    # found as the sign-change root of q'
+    calls = _count_calls(monkeypatch, "_bracketed_root")
+    rl = positive_roots(UniPoly([-3.0, 7.0, -5.0, 1.0]))
+    assert [7.0, -10.0, 3.0] in calls
+    assert len(rl) == 2 and rl.suspected_multiple == (True, False)
+    assert abs(rl.roots[0] - 1.0) <= 1e-12 and abs(rl.roots[1] - 3.0) <= 1e-12
 
 
 @settings(max_examples=300, deadline=None)
