@@ -51,14 +51,13 @@ from .errors import (
 )
 from .homogenize import (
     HomogeneousDecomposition,
-    dehomogenize,
     euler_residual,
     homogeneous_parts,
     homogenize,
     tau_coefficients,
 )
-from .polycore import MultiPoly, grlex_key, parse
-from .roots import RootList, UniPoly, positive_roots, sturm_count
+from .polycore import MultiPoly, parse
+from .roots import RootList, UniPoly, positive_roots
 
 __version__ = "0.1.0"
 
@@ -91,11 +90,9 @@ __all__ = [
     "check_decrease",
     "check_homogeneity",
     "check_invariance",
-    "dehomogenize",
     "euler_residual",
     "expand_quadratic_form",
     "gram_euler_identity",
-    "grlex_key",
     "homogeneous_parts",
     "homogenize",
     "jacobi_eigenvalues",
@@ -104,7 +101,6 @@ __all__ = [
     "positive_roots",
     "rk4",
     "sample_directions",
-    "sturm_count",
     "tau_coefficients",
     "verify_gram",
     "verify_multiplier",

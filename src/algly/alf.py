@@ -126,6 +126,9 @@ class HomogenizedLyapunov:
         self.rel_tol = rel_tol
         self.ray_samples = ray_samples
         self.seed = seed
+        # tau rescales x by a power of two where max|x_i|^p leaves half the
+        # float exponent range, which leaves the other half to P's coefficients
+        self._unscaled = (2.0 ** (-511 / self.p), 2.0 ** (512 / self.p))
 
     # -- the scaling function -------------------------------------------------
 
@@ -139,20 +142,27 @@ class HomogenizedLyapunov:
         Raises NoPositiveRootError when the ray never meets the boundary
         and MultiplePositiveRootsError when it meets it more than once
         (roots closer than 1e-8 x Cauchy bound count as one tangency).
+        A point too large or too small for the float range of its
+        coefficients is solved as x / 2^e, and the root scaled back by 2^e;
+        both steps are exact, by the degree-1 homogeneity of tau.
         """
         if len(x) != self.nvars:
             raise DimensionMismatchError(f"point has length {len(x)}, expected {self.nvars}")
-        if all(v == 0.0 for v in x):
+        big = max(map(abs, x))
+        if big == 0.0:
             return 0.0
-        rl = self._positive_roots_at(x)
+        e = 0
+        if not self._unscaled[0] <= big <= self._unscaled[1]:
+            e = math.frexp(big)[1]  # 0 for inf and nan, which fail later
+        rl = self._positive_roots_at([math.ldexp(v, -e) for v in x] if e else x)
         if not rl.roots:
             raise NoPositiveRootError(x)
         if len(rl.roots) > 1:
             gap_tol = ROOT_SEPARATION_FACTOR * rl.bound
             gaps = [b - a for a, b in zip(rl.roots, rl.roots[1:])]
             if any(g > gap_tol for g in gaps):
-                raise MultiplePositiveRootsError(x, rl.roots)
-        return rl.roots[0]
+                raise MultiplePositiveRootsError(x, tuple(math.ldexp(r, e) for r in rl.roots))
+        return math.ldexp(rl.roots[0], e)
 
     def tau_residual(self, x: Sequence[float]) -> float:
         """|P(x / tau(x))|, the defining identity's defect; 0.0 at the origin."""

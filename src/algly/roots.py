@@ -1,30 +1,32 @@
 """Isolation and refinement of all real roots of a univariate polynomial on (0, inf).
 
-Pipeline: after factoring out t^m, the sign changes V of the coefficients
-decide the route.  By Descartes' rule of signs V = 0 means no positive
-root and V = 1 means exactly one, and it is simple; both counts are
-certified, since the signs of floats are exact, and no Sturm chain is
-built.  For V >= 2 a float Sturm chain counts the distinct positive
-roots as V(0) - V(inf), read off its members' constant terms and leading
-coefficients.  That total, and the counts that split (0, B] into
-isolating intervals below the Cauchy bound B = 1 + max|c_k|/|c_lead|,
-are float evaluations and are not certified.
+Pipeline: after factoring out t^m, Descartes' rule of signs decides every
+count.  The sign changes V of the coefficients bound the number of
+positive roots: V = 0 means none and V = 1 exactly one, and it is simple.
+Both counts are certified, since the signs of floats are exact, and need
+no further work.  For V >= 2 the float coefficients, which are exact
+dyadic rationals, become exact integers, and Descartes bisection
+(Vincent-Collins-Akritas) splits (0, 2^K] into halves until each node's
+count is 0 or 1.  K comes from Kioustelidis' positive-root bound and is
+certified by a Descartes count of 0 past 2^K.  Every count is exact, and
+a root that falls exactly on a midpoint is recorded there; only the
+tangency rules below report a count other than the exact one.
 
-Each isolating interval holds one root.  Where the polynomial changes
-sign across it, a bracketed Newton solver (rtsafe-style: Newton while
-the step stays inside the sign bracket and keeps shrinking, bisection
-otherwise) refines the root until the Newton step is a few ulps of the
-root.  A root that misses the residual bound
+Each isolating interval holds one simple root, across which the
+polynomial changes sign.  A bracketed Newton solver (rtsafe-style: Newton
+while the step stays inside the sign bracket and keeps shrinking,
+bisection otherwise) refines it until the Newton step is a few ulps of
+the root.  A root that misses the residual bound
 |q(r)| <= abs_tol + rel_tol*S(r) is refined again to float resolution.
-An even-multiplicity root has no sign change: Sturm-count bisection
-narrows its interval, and the same solver finds it as the sign-change
-root of the derivative.
 
-Sturm remainders are renormalized by their max-abs coefficient and an
-evaluated value counts as zero below 1e-12 of the member's own scale;
-naive float remainder chains drift out of range very quickly otherwise.
-Everything here is a pure function of the coefficient vector, so
-identical inputs give bitwise-identical outputs.
+Rounding the coefficients of a tangent crossing splits its double root
+into two close roots or a complex pair, and exact counts see either one.
+Two rules report such a crossing as one flagged root at the root r* of
+q' nearby, when |q(r*)| <= 1e-12*S(r*): (i) a node with count >= 2 whose
+two halves both count 0, and (ii) neighbouring roots closer than 1e-6*r.
+A node with count >= 2 narrower than REFINE_WIDTH_FACTOR times its upper
+end is one flagged root too.  Everything here is a pure function of the coefficient
+vector, so identical inputs give bitwise-identical outputs.
 """
 
 from __future__ import annotations
@@ -34,10 +36,9 @@ from dataclasses import dataclass
 
 from .errors import ZeroPolynomialError
 
-REFINE_WIDTH_FACTOR = 1e-13   # isolation and count-bisection width, relative to the root bound
-_SIGN_EPS = 1e-12             # evaluated value treated as zero below this x scale
-_REMAINDER_EPS = 1e-12        # chain terminates when a remainder is this small
-_LEAD_TRIM_EPS = 1e-13        # drop denormal leading coefficients inside remainders
+REFINE_WIDTH_FACTOR = 1e-13   # narrowest bisection node, relative to its upper end
+_TANGENT_EPS = 1e-12          # |q(r*)| below this x S(r*) => tangent crossing at r*
+_MERGE_GAP = 1e-6             # neighbouring roots closer than this x r may be one tangency
 _MULTIPLE_EPS = 1e-8          # |q'(root)| below this x derivative scale => suspected multiple
 _STOP_ULPS = 4 * 2.220446049250313e-16  # Newton step, relative to x, that ends refinement
 
@@ -79,19 +80,13 @@ class RootList:
 
     roots: tuple[float, ...]
     suspected_multiple: tuple[bool, ...]
-    bound: float  # Cauchy bound used during isolation
+    bound: float  # Cauchy bound 1 + max|c_k|/|c_lead| of the positive roots
 
     def __len__(self) -> int:
         return len(self.roots)
 
 
-# -- low-level coefficient-list helpers (ascending order, trimmed) ----------
-
-def _trim(c: list[float]) -> list[float]:
-    while c and c[-1] == 0.0:
-        c.pop()
-    return c
-
+# -- low-level coefficient-list helpers (ascending order) --------------------
 
 def _eval_list(c: list[float], t: float) -> float:
     acc = 0.0
@@ -112,109 +107,149 @@ def _deriv_list(c: list[float]) -> list[float]:
     return [k * c[k] for k in range(1, len(c))]
 
 
-def _normalize(c: list[float]) -> list[float]:
-    m = max(abs(v) for v in c)
-    return [v / m for v in c]
-
-
-def _neg_rem(a: list[float], b: list[float]) -> list[float]:
-    """-(a mod b) by float long division; caller trims/normalizes."""
-    rem = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    for k in range(len(rem) - 1, db - 1, -1):
-        q = rem[k] / lead
-        rem[k] = 0.0
-        if q != 0.0:
-            lo = k - db
-            for j in range(db):
-                rem[lo + j] -= q * b[j]
-    return [-v for v in _trim(rem)]
-
-
-def _sturm_chain(coeffs: list[float]) -> list[list[float]]:
-    chain = [_normalize(coeffs)]
-    d = _trim(_deriv_list(coeffs))
-    if not d:
-        return chain
-    chain.append(_normalize(d))
-    while len(chain[-1]) > 1:
-        r = _neg_rem(chain[-2], chain[-1])
-        if not r:
-            break
-        m = max(abs(v) for v in r)
-        if m <= _REMAINDER_EPS:
-            break
-        # drop denormal leading coefficients before the next division step
-        while len(r) > 1 and abs(r[-1]) <= _LEAD_TRIM_EPS * m:
-            r.pop()
-        chain.append([v / m for v in r])
-    return chain
-
-
 def _sign_changes(values) -> int:
-    """Sign changes along a sequence of floats; zeros are skipped."""
+    """Sign changes along a sequence of numbers; zeros are skipped."""
     count = 0
-    prev = 0.0
+    prev = 0
     for v in values:
-        if v != 0.0:
-            if prev != 0.0 and (v < 0.0) != (prev < 0.0):
+        if v:
+            if prev and (v < 0) != (prev < 0):
                 count += 1
             prev = v
     return count
 
 
-def _sign_variations(chain: list[list[float]], t: float) -> int:
-    prev = 0
-    count = 0
-    for member in chain:
-        v = _eval_list(member, t)
-        scale = _abs_eval_list(member, t)
-        if abs(v) <= _SIGN_EPS * scale:
+# -- exact Descartes bisection on integer coefficients -------------------------
+
+def _shift1(c: list[int]) -> list[int]:
+    """Coefficients of c(x + 1)."""
+    c = list(c)
+    n = len(c) - 1
+    for i in range(n):
+        for k in range(n - 1, i - 1, -1):
+            c[k] += c[k + 1]
+    return c
+
+
+def _descartes_count(q: list[int]) -> int:
+    """Sign changes of (x+1)^n q(1/(x+1)): an upper bound on the roots of q
+    in (0, 1), counted with multiplicity, exact when it is 0 or 1, and of
+    the same parity."""
+    return _sign_changes(_shift1(q[::-1]))
+
+
+def _start_interval(coeffs: list[float]) -> tuple[int, list[int]]:
+    """K with every positive root of coeffs below 2^K, and the integer
+    coefficients of a positive multiple of coeffs(2^K x).
+
+    K starts from Kioustelidis' bound 2*max (|c_k|/|c_d|)^(1/(d-k)) over
+    the c_k whose sign differs from the leading one; it is raised until
+    coeffs(2^K (x + 1)) has no sign change and a nonzero constant, which
+    certifies that no root lies at or past 2^K.
+    """
+    d = len(coeffs) - 1
+    lead = coeffs[-1]
+    top = math.log2(abs(lead))
+    K = math.ceil(1.0 + max((math.log2(abs(c)) - top) / (d - k)
+                            for k, c in enumerate(coeffs)
+                            if c != 0.0 and (c < 0.0) != (lead < 0.0)))
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    den = max(r[1] for r in ratios)  # powers of two: a multiple of every other one
+    p = [n * (den // r) for n, r in ratios]
+    while True:
+        low = min(0, K * d)
+        q = [c << (K * k - low) for k, c in enumerate(p)]
+        tail = _shift1(q)
+        if tail[0] and not _sign_changes(tail):
+            return K, q
+        K += 1
+
+
+def _refine(coeffs: list[float], lo: float, hi: float, neg_lo: bool,
+            abs_tol: float, rel_tol: float) -> float:
+    """The one simple root of coeffs in (lo, hi), where coeffs(lo) < 0 iff
+    neg_lo; refined again to float resolution if it misses the residual
+    bound |q(r)| <= abs_tol + rel_tol*S(r)."""
+    root = _bracketed_root(coeffs, lo, hi, neg_lo)
+    if abs(_eval_list(coeffs, root)) > abs_tol + rel_tol * _abs_eval_list(coeffs, root):
+        root = _bracketed_root(coeffs, lo, hi, neg_lo, 0.0)
+    return root
+
+
+def _tangent_point(slope: list[float], lo: float, hi: float) -> float:
+    """The root of the derivative in [lo, hi] where its values at the ends
+    differ in sign, and the midpoint otherwise.  `slope` is q' with its
+    t^m factor removed, so that a zero q'(0) hides no sign change."""
+    dlo = _eval_list(slope, lo)
+    dhi = _eval_list(slope, hi)
+    if dlo != 0.0 and dhi != 0.0 and (dlo < 0.0) != (dhi < 0.0):
+        return _bracketed_root(slope, lo, hi, dlo < 0.0)
+    return 0.5 * (lo + hi)
+
+
+def _tangency(coeffs: list[float], slope: list[float], lo: float, hi: float) -> float | None:
+    """The tangent crossing r* in [lo, hi], if |q(r*)| <= 1e-12*S(r*)."""
+    r = _tangent_point(slope, lo, hi)
+    if abs(_eval_list(coeffs, r)) <= _TANGENT_EPS * _abs_eval_list(coeffs, r):
+        return r
+    return None
+
+
+def _isolate(coeffs: list[float], abs_tol: float, rel_tol: float) -> list[tuple[float, bool]]:
+    """(root, flagged) pairs, ascending, of coeffs with V >= 2 sign changes.
+
+    A node is (q, count, a, level) on (lo, hi) = (a, a + 1) * 2^(K - level):
+    q(x) is coeffs(lo + x*(hi - lo)) times a positive constant, with any
+    factor x^m divided out, and count its Descartes count, computed once,
+    when its parent splits.  The left half is 2^n q(x/2), the right half
+    its Taylor shift by 1, whose constant is q at the midpoint.
+    """
+    slope = _deriv_list(coeffs)
+    while slope[0] == 0.0:
+        slope.pop(0)
+    K, q = _start_interval(coeffs)
+    found: list[tuple[float, bool]] = []
+    stack = [(q, _descartes_count(q), 0, 0)]
+    while stack:
+        q, count, a, level = stack.pop()
+        lo = math.ldexp(a, K - level)
+        hi = math.ldexp(a + 1, K - level)
+        if count == 1:
+            found.append((_refine(coeffs, lo, hi, q[0] < 0, abs_tol, rel_tol), False))
             continue
-        s = 1 if v > 0.0 else -1
-        if prev != 0 and s != prev:
-            count += 1
-        prev = s
-    return count
-
-
-def _nudge_off_root(c: list[float], t: float) -> float:
-    """Shift t upward by ulp-scale steps until its sign is unambiguous.
-
-    Values inside the sign-threshold band would be skipped by the
-    variation count, which makes near-root endpoints miscount; stepping
-    decisively past the root keeps (a, b] semantics consistent.
-    """
-    step = (abs(t) + 1.0) * 2.220446049250313e-16
-    while abs(_eval_list(c, t)) <= _SIGN_EPS * _abs_eval_list(c, t):
-        t += step
-        step *= 2.0
-    return t
-
-
-def _count(chain: list[list[float]], coeffs: list[float], a: float, b: float) -> int:
-    a = _nudge_off_root(coeffs, a)
-    b = _nudge_off_root(coeffs, b)
-    return max(_sign_variations(chain, a) - _sign_variations(chain, b), 0)
-
-
-def sturm_count(q: UniPoly, a: float, b: float) -> int:
-    """Number of distinct real roots of q in (a, b].
-
-    Endpoints that happen to be exact roots are nudged upward by an
-    ulp-scale step, which keeps a root at `a` excluded and a root at `b`
-    included.
-    """
-    if q.is_zero():
-        raise ZeroPolynomialError("Sturm count of the zero polynomial")
-    if not a < b:
-        raise ValueError(f"need a < b, got a={a}, b={b}")
-    coeffs = list(q.coeffs[:q.degree + 1])
-    if len(coeffs) == 1:
-        return 0
-    chain = _sturm_chain(coeffs)
-    return _count(chain, coeffs, a, b)
+        if (a + 1) * REFINE_WIDTH_FACTOR >= 1.0:
+            # roots closer than the narrowest node: report one, flagged
+            found.append((_tangent_point(slope, lo, hi), True))
+            continue
+        n = len(q) - 1
+        left = [c << (n - k) for k, c in enumerate(q)]
+        right = _shift1(left)
+        on_mid = right[0] == 0
+        if on_mid:
+            found.append((0.5 * (lo + hi), False))
+            m = 1
+            while right[m] == 0:
+                m += 1
+            right = right[m:]
+        count_left, count_right = _descartes_count(left), _descartes_count(right)
+        if count_left == count_right == 0 and not on_mid:
+            r = _tangency(coeffs, slope, lo, hi)  # rule (i)
+            if r is not None:
+                found.append((r, True))
+        if count_right:
+            stack.append((right, count_right, 2 * a + 1, level + 1))
+        if count_left:
+            stack.append((left, count_left, 2 * a, level + 1))
+    found.sort()
+    merged: list[tuple[float, bool]] = []
+    for r, flag in found:
+        if merged and r - merged[-1][0] < _MERGE_GAP * r:
+            t = _tangency(coeffs, slope, merged[-1][0], r)  # rule (ii)
+            if t is not None:
+                merged[-1] = (t, True)
+                continue
+        merged.append((r, flag))
+    return merged
 
 
 def _value_and_slope(c: list[float], t: float) -> tuple[float, float]:
@@ -263,77 +298,22 @@ def _bracketed_root(c: list[float], lo: float, hi: float, neg_lo: bool,
         x = cand
 
 
-def _refine(coeffs: list[float], chain: list[list[float]] | None, lo: float, hi: float,
-            width: float, abs_tol: float, rel_tol: float) -> float:
-    """The one root of coeffs in the isolating interval (lo, hi].
-
-    A sign change across the bracket goes to _bracketed_root; a root that
-    misses the residual bound |q(r)| <= abs_tol + rel_tol*S(r) is refined
-    again down to float resolution.  Without a sign change the root has
-    even multiplicity: Sturm-count bisection narrows the bracket to where
-    |q| sinks into the sign-threshold band, and the root is then the
-    derivative's sign-change root, found by _bracketed_root on q'.
-    `chain` is None when the caller built no Sturm chain (V = 1).  If the
-    end values then share a sign in float, the single simple root lies
-    within rounding of hi, and hi steps past it; should they still share
-    a sign, the chain is built here for the count bisection.
-    """
-    fhi = _eval_list(coeffs, hi)
-    if fhi == 0.0:
-        # hi is an exact root and the interval holds exactly one root
-        return hi
-    flo = _eval_list(coeffs, lo)
-    if flo == 0.0:
-        # lo is a root but lies outside (lo, hi]; step off it to read a sign
-        lo = _nudge_off_root(coeffs, lo)
-        flo = _eval_list(coeffs, lo)
-    if chain is None and (flo < 0.0) == (fhi < 0.0):
-        hi = _nudge_off_root(coeffs, hi)
-        fhi = _eval_list(coeffs, hi)
-    if (flo < 0.0) != (fhi < 0.0):
-        root = _bracketed_root(coeffs, lo, hi, flo < 0.0)
-        if abs(_eval_list(coeffs, root)) > abs_tol + rel_tol * _abs_eval_list(coeffs, root):
-            root = _bracketed_root(coeffs, lo, hi, flo < 0.0, 0.0)
-        return root
-    # Counts degrade once |q(mid)| sinks into the sign-threshold band, so
-    # bisect on counts only down to that band.
-    if chain is None:
-        chain = _sturm_chain(coeffs)
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if abs(_eval_list(coeffs, mid)) <= _SIGN_EPS * _abs_eval_list(coeffs, mid):
-            break
-        if _count(chain, coeffs, lo, mid) >= 1:
-            hi = mid
-        else:
-            lo = mid
-    dcoeffs = _deriv_list(coeffs)
-    dlo = _eval_list(dcoeffs, lo)
-    dhi = _eval_list(dcoeffs, hi)
-    if dlo != 0.0 and dhi != 0.0 and (dlo < 0.0) != (dhi < 0.0):
-        return _bracketed_root(dcoeffs, lo, hi, dlo < 0.0)
-    return 0.5 * (lo + hi)
-
-
 def positive_roots(q: UniPoly, abs_tol: float = 1e-12, rel_tol: float = 1e-12) -> RootList:
     """All distinct roots of q in (0, inf), sorted ascending.
 
-    The count comes from the coefficient sign changes V (t^m factored
-    out).  V = 0 gives no root and V = 1 exactly one simple root in
-    (0, B], refined with no Sturm chain: Descartes' rule makes both
-    counts certified.  For V >= 2 the total is V(0) - V(inf) of a float
-    Sturm chain, from its members' constant terms and leading
-    coefficients, and the chain splits (0, B] into isolating intervals;
-    these counts are float evaluations and are not certified.
+    The count comes from Descartes' rule of signs throughout (t^m
+    factored out first).  V = 0 coefficient sign changes give no root and
+    V = 1 exactly one simple root, refined in float on (0, B] below the
+    Cauchy bound B.  For V >= 2, exact Descartes bisection on the integer
+    coefficients isolates every root.  Every count is certified.
 
     Every returned root r satisfies |q(r)| <= abs_tol + rel_tol * S(r)
     with S(r) = sum_k |c_k| r^k.  A root whose derivative value is tiny
-    against its own scale is flagged suspected-multiple rather than split;
-    unresolvably close root pairs (closer than the refinement width) are
-    merged into one flagged root.  Degree-0 input with a nonzero constant
-    yields an empty list.
+    against its own scale is flagged suspected-multiple rather than split.
+    A tangent crossing that rounding split into two close roots or a
+    complex pair is reported as one flagged root, and so are roots closer
+    than the narrowest bisection node.  Degree-0 input with a nonzero
+    constant yields an empty list.
     """
     if q.is_zero():
         raise ZeroPolynomialError("root isolation of the zero polynomial")
@@ -343,47 +323,30 @@ def positive_roots(q: UniPoly, abs_tol: float = 1e-12, rel_tol: float = 1e-12) -
     while coeffs[m] == 0.0:
         m += 1
     coeffs = coeffs[m:]
-    d = len(coeffs) - 1
-    if d == 0:
+    if len(coeffs) == 1:
         return RootList((), (), bound=1.0)
     bound = 1.0 + max(abs(c) for c in coeffs[:-1]) / abs(coeffs[-1])
-    width = REFINE_WIDTH_FACTOR * bound
     variations = _sign_changes(coeffs)
     if variations == 0:
         return RootList((), (), bound=bound)
-    intervals: list[tuple[float, float, bool]] = []  # (lo, hi, cluster_flag)
     if variations == 1:
-        chain = None
-        stack = [(0.0, bound, 1)]
+        neg_lo = coeffs[0] < 0.0
+        fhi = _eval_list(coeffs, bound)
+        if fhi == 0.0:
+            root = bound
+        else:
+            # B has the sign of q(0) only when the root lies within rounding
+            # of it; at 2B the leading term is over half of S(2B), so the
+            # float sign there is exact
+            hi = bound if (fhi < 0.0) != neg_lo else 2.0 * bound
+            root = _refine(coeffs, 0.0, hi, neg_lo, abs_tol, rel_tol)
+        found = [(root, False)]
     else:
-        chain = _sturm_chain(coeffs)
-        total = _sign_changes(m[0] for m in chain) - _sign_changes(m[-1] for m in chain)
-        stack = [(0.0, bound, total)] if total > 0 else []
-    while stack:
-        lo, hi, k = stack.pop()
-        if k == 0:
-            continue
-        if k == 1:
-            intervals.append((lo, hi, False))
-            continue
-        if hi - lo <= width:
-            # k roots closer than the refinement width: report one, flagged
-            intervals.append((lo, hi, True))
-            continue
-        mid = 0.5 * (lo + hi)
-        kl = _count(chain, coeffs, lo, mid)
-        stack.append((mid, hi, k - kl))
-        stack.append((lo, mid, kl))
+        found = _isolate(coeffs, abs_tol, rel_tol)
 
     dcoeffs = _deriv_list(coeffs)
-    found: list[tuple[float, bool]] = []
-    for lo, hi, clustered in intervals:
-        r = _refine(coeffs, chain, lo, hi, width, abs_tol, rel_tol)
-        dscale = _abs_eval_list(dcoeffs, r) if dcoeffs else 0.0
-        flat = abs(_eval_list(dcoeffs, r)) <= _MULTIPLE_EPS * dscale if dcoeffs else True
-        found.append((r, clustered or flat))
-    found.sort(key=lambda rf: rf[0])
-
     roots = tuple(r for r, _ in found)
-    flags = tuple(f for _, f in found)
+    flags = tuple(
+        flag or abs(_eval_list(dcoeffs, r)) <= _MULTIPLE_EPS * _abs_eval_list(dcoeffs, r)
+        for r, flag in found)
     return RootList(roots, flags, bound=bound)

@@ -122,3 +122,35 @@ def exact_sign_root(coeffs) -> tuple[float, float]:
         else:
             b = mid
     return _bits_float(a), _bits_float(b)
+
+
+def exact_positive_root_count(coeffs) -> int:
+    """Distinct roots in (0, inf) of sum coeffs[k] t^k, by a Sturm sequence
+    in exact rational arithmetic on the float coefficients."""
+    p = [Fraction(c) for c in coeffs]
+    while p and p[-1] == 0:
+        p.pop()
+    while p and p[0] == 0:
+        p.pop(0)  # roots at zero are not positive
+    if len(p) < 2:
+        return 0
+    chain = [p, [k * p[k] for k in range(1, len(p))]]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], list(chain[-1])
+        rem = list(a)
+        for k in range(len(rem) - 1, len(b) - 2, -1):
+            q = rem[k] / b[-1]
+            for j in range(len(b)):
+                rem[k - len(b) + 1 + j] -= q * b[j]
+        rem = rem[:len(b) - 1]
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if not rem:
+            break
+        chain.append([-v for v in rem])
+
+    def changes(values):
+        signs = [v > 0 for v in values if v != 0]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    return changes(m[0] for m in chain) - changes(m[-1] for m in chain)

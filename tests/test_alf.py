@@ -16,8 +16,8 @@ from algly.errors import (
 )
 from algly.polycore import MultiPoly, parse
 
-from conftest import ANNULUS_TEXT, HYPERBOLA_TEXT
-from oracles import tau_closed_form
+from conftest import ANNULUS_TEXT, DISK_TEXT, HYPERBOLA_TEXT
+from oracles import tau_closed_form, ulps_apart
 
 
 def test_construction_disk(disk_L):
@@ -225,4 +225,34 @@ def test_tau_on_a_large_disk():
 @pytest.mark.parametrize("text", ["x1^2+x2^2-1e-12", "1e6*x1^2+x2^2-1e-6"])
 def test_star_convex_small_ellipses(text):
     report = HomogenizedLyapunov(parse(text, 2)).check_star_convex(256)
+    assert report.passed and report.failures == ()
+
+
+SEXTIC_TEXT = "(x1^2+x2^2)^3 - x1^5 + x2^3*x1 - 1 + x1"
+
+
+@pytest.mark.parametrize("text", [DISK_TEXT, SEXTIC_TEXT])
+@pytest.mark.parametrize("k", [-1000, -300, -100, 100, 300, 1000])
+def test_tau_scales_by_powers_of_two_past_the_float_range(text, k):
+    # tau(2^k x) = 2^k tau(x) exactly; far from 1, max|x_i|^p leaves the
+    # float range and tau must rescale to stay within a few ulps
+    L = HomogenizedLyapunov(parse(text, 2))
+    for x in [(1.0, 1.0), (0.3, -0.7), (-0.2, 0.05), (1.5, 0.0)]:
+        want = math.ldexp(L.tau(x), k)
+        got = L.tau(tuple(math.ldexp(v, k) for v in x))
+        assert ulps_apart(got, want) <= 4, (x, got, want)
+
+
+@pytest.mark.parametrize("x, want", [((1e-200, 0.0), 0.5 * (math.sqrt(3.0) - 1.0) * 1e-200),
+                                     ((1e-160, 1e-160), 1e-160),
+                                     ((1e200, 1e200), 1e200)])
+def test_tau_disk_far_from_unit_scale(disk_L, x, want):
+    assert disk_L.tau(x) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def test_star_convex_quartic4d_at_seed_303():
+    # the set is star-convex; at this sampling seed one of the 1024
+    # Gaussian rays has a root that a float root count can miss
+    P = parse("(x1^2+x2^2+x3^2+x4^2)^2 + x1^3 - x2*x3*x4 + 0.5*x1*x2 - x3 - 1", 4)
+    report = HomogenizedLyapunov(P, ray_samples=1024, seed=303).check_star_convex()
     assert report.passed and report.failures == ()

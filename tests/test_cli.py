@@ -70,6 +70,14 @@ def test_tau_values(tmp_path, capsys):
     assert "note" in payload
 
 
+def test_tau_of_a_point_past_the_float_range(tmp_path, capsys):
+    # x1^2 + x2^2 overflows at (1e200, 1e200); tau = 1e200 * tau((1, 1))
+    problem = write_problem(tmp_path)
+    code, out = run_cli(capsys, "tau", "--problem", problem, "--x", "1e200", "1e200")
+    assert code == 0
+    assert json.loads(out)["tau"] == pytest.approx(1e200, rel=1e-15)
+
+
 def test_tau_exit_codes(tmp_path, capsys):
     hyper = write_problem(tmp_path, "hyper.json", P=HYPERBOLA_TEXT)
     code, out = run_cli(capsys, "tau", "--problem", hyper, "--x", "0", "1")

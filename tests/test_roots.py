@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from algly import roots
 from algly.errors import ZeroPolynomialError
-from algly.roots import UniPoly, positive_roots, sturm_count
+from algly.roots import UniPoly, positive_roots
 
 from oracles import (
+    exact_positive_root_count,
     exact_sign_root,
     expand_from_roots,
     geometric_roots,
@@ -74,26 +75,6 @@ def test_unresolvably_close_pair_merges():
     assert rl.suspected_multiple[0]
 
 
-def test_sturm_count_examples():
-    assert sturm_count(UniPoly([2.0, -3.0, 1.0]), 0.0, 3.0) == 2
-    assert sturm_count(UniPoly([1.0, 0.0, 1.0]), -10.0, 10.0) == 0
-    assert sturm_count(UniPoly([-1.0, 0.0, 1.0]), 0.0, 10.0) == 1
-
-
-def test_sturm_count_half_open_endpoints():
-    q = UniPoly([-1.0, 0.0, 1.0])  # roots -1, 1
-    assert sturm_count(q, 1.0, 10.0) == 0    # root at a excluded
-    assert sturm_count(q, 0.0, 1.0) == 1     # root at b included
-    assert sturm_count(q, -1.0, 1.0) == 1
-
-
-def test_sturm_count_zero_poly_and_bad_interval():
-    with pytest.raises(ZeroPolynomialError):
-        sturm_count(UniPoly([0.0]), 0.0, 1.0)
-    with pytest.raises(ValueError):
-        sturm_count(UniPoly([1.0, 1.0]), 2.0, 1.0)
-
-
 def test_determinism_bitwise():
     coeffs = [2.0, -4.0, -2.0, 0.3, -0.07]
     a = positive_roots(UniPoly(coeffs))
@@ -139,8 +120,8 @@ def test_unipoly_degree_deflation():
     assert UniPoly([0.0, 0.0]).is_zero()
 
 
-def _no_chain(coeffs):
-    raise AssertionError("a Sturm chain was built")
+def _no_integer_path(coeffs):
+    raise AssertionError("V <= 1 took the integer Descartes bisection")
 
 
 @pytest.mark.parametrize("coeffs, want", [
@@ -151,7 +132,9 @@ def _no_chain(coeffs):
     ([0.0, -8.0, 0.0, 0.0, 1.0], (2.0,)),  # V = 1 after factoring out t
 ])
 def test_descartes_paths_build_no_sturm_chain(monkeypatch, coeffs, want):
-    monkeypatch.setattr(roots, "_sturm_chain", _no_chain)
+    # Descartes' rule settles V = 0 and V = 1 from the float signs alone:
+    # they stay on the float path, with no integer conversion
+    monkeypatch.setattr(roots, "_start_interval", _no_integer_path)
     rl = positive_roots(UniPoly(coeffs))
     if want is None:
         assert len(rl) == 1 and abs(rl.roots[0] - (math.sqrt(2.0) - 1.0)) <= 1e-12
@@ -160,12 +143,28 @@ def test_descartes_paths_build_no_sturm_chain(monkeypatch, coeffs, want):
     assert rl.suspected_multiple == (False,) * len(rl)
 
 
-def test_refine_builds_the_chain_when_the_bracket_ends_share_a_sign():
-    # (t - 1)^2 on (0, 3]: no sign change at the ends, so the count
-    # bisection needs a chain that the caller did not build
-    coeffs = [1.0, -2.0, 1.0]
-    r = roots._refine(coeffs, None, 0.0, 3.0, 3e-13, 1e-12, 1e-12)
-    assert abs(r - 1.0) <= 1e-6
+def test_double_root_off_the_dyadic_grid_is_one_flagged_root():
+    # (3t - 1)^2 has the exact double root 1/3, which no bisection midpoint
+    # hits: the count stays 2 down to the narrowest node, reported flagged
+    rl = positive_roots(UniPoly([1.0, -6.0, 9.0]))
+    assert len(rl) == 1 and rl.suspected_multiple == (True,)
+    assert abs(rl.roots[0] - 1.0 / 3.0) <= 1e-12
+
+
+@pytest.mark.parametrize("coeffs", [
+    # -(t^2 - 1)^2 with its leading coefficient one ulp off
+    [-1.0, 0.0, 2.0, 0.0, -1.0000000000000002],
+    # a unit-circle tangent ray; the node that holds the pair starts at 0,
+    # where q' = 4t - 4t^3 vanishes
+    [-0.9999999999999997, 0.0, 1.9999999999999996, 0.0, -1.0],
+])
+def test_complex_pair_tangency_flagged(coeffs):
+    # rounding turned the tangent root at 1 into a complex pair, and the
+    # exact count is 0
+    assert exact_positive_root_count(coeffs) == 0
+    rl = positive_roots(UniPoly(coeffs))
+    assert len(rl) == 1 and rl.suspected_multiple == (True,)
+    assert abs(rl.roots[0] - 1.0) <= 1e-12
 
 
 _NONZERO = st.floats(-8.0, 8.0).map(lambda e: 10.0 ** e)
@@ -236,14 +235,13 @@ def test_disk_ray_refines_in_a_few_newton_passes(monkeypatch):
     assert min(ulps_apart(rl.roots[0], a), ulps_apart(rl.roots[0], b)) <= 4
 
 
-def test_even_multiplicity_root_refines_on_the_derivative(monkeypatch):
-    # (t - 1)^2 (t - 3): no sign change at the double root, which is
-    # found as the sign-change root of q'
-    calls = _count_calls(monkeypatch, "_bracketed_root")
-    rl = positive_roots(UniPoly([-3.0, 7.0, -5.0, 1.0]))
-    assert [7.0, -10.0, 3.0] in calls
+def test_even_multiplicity_root_refines_on_the_derivative():
+    # (t - 0.1)^2 (t - 3) expanded in float: rounding splits the double
+    # root, and it is reported once, flagged, at the root of q'
+    coeffs = expand_from_roots([0.1, 0.1, 3.0])
+    rl = positive_roots(UniPoly(coeffs))
     assert len(rl) == 2 and rl.suspected_multiple == (True, False)
-    assert abs(rl.roots[0] - 1.0) <= 1e-12 and abs(rl.roots[1] - 3.0) <= 1e-12
+    assert abs(rl.roots[0] - 0.1) <= 1e-12 and abs(rl.roots[1] - 3.0) <= 1e-12
 
 
 @settings(max_examples=300, deadline=None)
@@ -252,18 +250,50 @@ def test_no_sign_change_gives_no_root(coeffs):
     assert positive_roots(UniPoly(coeffs)).roots == ()
 
 
-@pytest.mark.parametrize("n", range(2, 16))
+@pytest.mark.parametrize("n", range(2, 21))
 def test_sturm_total_on_integer_root_products(n):
-    # V >= 2 still counts on the float chain, now as V(0) - V(inf); the
-    # chain isolates all n roots of prod (t - k) up to n = 15
-    q = UniPoly(expand_from_roots([float(k) for k in range(1, n + 1)]))
-    rl = positive_roots(q)
-    assert len(rl) == n == sturm_count(q, 0.0, rl.bound)
+    # prod (t - k) up to Wilkinson's n = 20: the count matches an exact
+    # Sturm count on the float coefficients
+    coeffs = expand_from_roots([float(k) for k in range(1, n + 1)])
+    rl = positive_roots(UniPoly(coeffs))
+    assert len(rl) == n == exact_positive_root_count(coeffs)
 
 
 def test_sturm_total_on_annulus_radial():
-    # -(r^2 - 1)(r^2 - 4): the annulus ray meets the boundary at r = 1 and 2
-    q = UniPoly([-4.0, 0.0, 5.0, 0.0, -1.0])
-    rl = positive_roots(q)
+    # -(r^2 - 1)(r^2 - 4): the annulus ray meets the boundary at r = 1 and
+    # 2, both bisection midpoints, where they are found exactly
+    coeffs = [-4.0, 0.0, 5.0, 0.0, -1.0]
+    rl = positive_roots(UniPoly(coeffs))
     assert rl.roots == (1.0, 2.0)
-    assert sturm_count(q, 0.0, rl.bound) == 2
+    assert exact_positive_root_count(coeffs) == 2
+
+
+@st.composite
+def _several_sign_changes(draw):
+    """2 to 4 sign changes: 3 to 5 blocks of alternating sign, each of up
+    to two magnitudes 0 or 1e-8..1e8 and then a nonzero one."""
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    coeffs = []
+    for _ in range(draw(st.integers(3, 5))):
+        block = draw(st.lists(_MAGNITUDE, max_size=2)) + [draw(_NONZERO)]
+        coeffs += [sign * m for m in block]
+        sign = -sign
+    return coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_several_sign_changes())
+# a complex pair 5e-8 +- 3.2e-4i and a root near 1e14: the nodes near 0
+# must keep splitting far below 1e-13 of the start interval
+@example([1.0, -1.0, 10000000.0, -1e-07])
+# -(t - 1)^2 (t + 1) + 2.3e-13 t^2: two real roots 6.8e-7 apart, one
+# flagged tangency
+@example([-1.0, 1.0, 1.0000000000002303, -1.0])
+def test_several_sign_changes_count_matches_exact_sturm(coeffs):
+    # A flagged root may stand for a tangent crossing that rounding split
+    # into two close roots or a complex pair: 2 or 0 exact roots for 1
+    rl = positive_roots(UniPoly(coeffs))
+    exact = exact_positive_root_count(coeffs)
+    assert abs(len(rl) - exact) <= sum(rl.suspected_multiple)
+    for r in rl.roots:
+        assert meets_residual_bound(coeffs, r, 1e-12, 1e-12)
