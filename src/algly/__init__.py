@@ -37,6 +37,7 @@ from .dynsys import (
 )
 from .errors import (
     AlglyError,
+    DecayRateOverflowError,
     DegenerateGradientError,
     DegreeError,
     DimensionMismatchError,
@@ -63,6 +64,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlglyError",
+    "DecayRateOverflowError",
     "DegenerateGradientError",
     "DegreeError",
     "DimensionMismatchError",

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
+    DecayRateOverflowError,
     DegenerateGradientError,
     DegreeError,
     DimensionMismatchError,
@@ -40,17 +41,6 @@ ROOT_SEPARATION_FACTOR = 1e-8
 # grad(P).y is compared against the term-magnitude scale of grad(P) at y;
 # the factor leaves room for the root's own positional error.
 _DEGENERATE_EPS = 1e-9
-
-
-def _abs_eval(P: MultiPoly, x: Sequence[float]) -> float:
-    total = 0.0
-    for e, c in P.terms.items():
-        v = abs(c)
-        for xi, ei in zip(x, e):
-            if ei:
-                v *= abs(xi) ** ei
-        total += v
-    return total
 
 
 def sample_directions(nvars: int, n: int, seed: int) -> list[tuple[float, ...]]:
@@ -217,18 +207,25 @@ class HomogenizedLyapunov:
         since tau is deterministic.
 
         Raises DegenerateGradientError when the denominator vanishes
-        against its own term scale (tangent crossing).
+        against its own term scale (tangent crossing), and
+        DecayRateOverflowError when the rate is past the float range.
         """
         if all(v == 0.0 for v in x):
             raise ValueError("tau_dot is undefined at the origin")
         c = self.tau(x) if tau is None else tau
         y = [v / c for v in x]
-        gvals = [g.eval(y) for g in self.gradient]
+        gvals, gscales = zip(*[g.eval_and_scale(y) for g in self.gradient])
         denom = sum(gv * yv for gv, yv in zip(gvals, y))
-        scale = sum(_abs_eval(g, y) * abs(yv) for g, yv in zip(self.gradient, y))
+        scale = sum(gs * abs(yv) for gs, yv in zip(gscales, y))
         if abs(denom) <= _DEGENERATE_EPS * max(1.0, scale):
             raise DegenerateGradientError(
                 f"grad(P).y = {denom} vanishes at the boundary point {tuple(y)}")
         fvals = f.eval_at(y)
         num = sum(gv * fv for gv, fv in zip(gvals, fvals))
-        return c ** (f.nu + 1) * num / denom
+        try:
+            rate = c ** (f.nu + 1) * num / denom
+            if not math.isinf(rate):
+                return rate
+        except OverflowError:  # c ** (nu + 1) itself
+            pass
+        raise DecayRateOverflowError(f"tau_dot at x={tuple(x)} is past the float range")

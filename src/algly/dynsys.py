@@ -195,7 +195,6 @@ def check_invariance(
     """
     if L.P != P:
         raise ValueError("L was not built from this P")
-    grads = P.gradient()
     directions = sample_directions(P.nvars, n_dirs, L.seed)
     worst = -math.inf
     worst_witness = None
@@ -203,7 +202,7 @@ def check_invariance(
     for idx, d in enumerate(directions):
         t = L.tau(d)
         y = tuple(v / t for v in d)
-        gvals = [g.eval(y) for g in grads]
+        gvals = [g.eval(y) for g in L.gradient]
         fvals = f.eval_at(y)
         margin = sum(gv * fv for gv, fv in zip(gvals, fvals))
         if margin > worst:

@@ -61,5 +61,9 @@ class DegenerateGradientError(AlglyError):
     """The boundary-normal term grad(P).y vanished numerically; the decay rate is undefined."""
 
 
+class DecayRateOverflowError(AlglyError):
+    """The decay rate tau_dot is too large for a float (tau far past unit scale)."""
+
+
 class MixedDegreesError(AlglyError):
     """Vector-field components are not homogeneous of one common degree."""

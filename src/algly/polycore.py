@@ -7,9 +7,11 @@ coefficients, e.g. ``{(2, 0): 1.0, (0, 1): -3.0}`` for ``x1^2 - 3*x2``.
 Terms with coefficient exactly 0.0 are never stored, and the term map is
 kept in graded-lexicographic order (total degree first, then the exponent
 tuple, both descending) so iteration, evaluation and printing are
-deterministic.  Values are immutable after construction and all
-operations are pure functions; instances can be shared freely across
-threads.
+deterministic.  Evaluation walks a term plan built on first use,
+``(coefficient, ((variable index, exponent), ...))`` per term in the same
+order, nonzero exponents only.  Values are immutable after construction
+(the plan derives from the terms alone) and all operations are pure
+functions; instances can be shared freely across threads.
 
 Text grammar (explicit ``*`` required, no implicit multiplication)::
 
@@ -45,7 +47,7 @@ def grlex_key(exponents: Sequence[int]) -> tuple[int, tuple[int, ...]]:
 class MultiPoly:
     """Sparse multivariate polynomial with float coefficients."""
 
-    __slots__ = ("nvars", "_terms")
+    __slots__ = ("nvars", "_terms", "_plan")
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, float] | Iterable[tuple[Exponents, float]] = ()):
         if not isinstance(nvars, int) or nvars < 1:
@@ -67,6 +69,7 @@ class MultiPoly:
             for e in sorted(merged, key=grlex_key, reverse=True)
             if merged[e] != 0.0
         }
+        self._plan = None
 
     # -- constructors ------------------------------------------------------
 
@@ -198,23 +201,33 @@ class MultiPoly:
 
     def eval(self, x: Sequence[float]) -> float:
         """Evaluate at a point; terms are summed in graded-lex order."""
+        return self.eval_and_scale(x)[0]
+
+    def eval_and_scale(self, x: Sequence[float]) -> tuple[float, float]:
+        """(P(x), sum of |term| at x) in one pass; the sum is P's evaluation
+        scale.  A zero factor zeroes its term in any position, even after a
+        factor that overflows."""
         if len(x) != self.nvars:
-            raise DimensionMismatchError(
-                f"point has length {len(x)}, expected {self.nvars}")
-        total = 0.0
-        for e, c in self._terms.items():
+            raise DimensionMismatchError(f"point has length {len(x)}, expected {self.nvars}")
+        if self._plan is None:
+            self._plan = tuple((c, tuple((i, k) for i, k in enumerate(e) if k))
+                               for e, c in self._terms.items())
+        total = scale = 0.0
+        for c, factors in self._plan:
             v = c
-            for xi, ei in zip(x, e):
-                if ei:
-                    try:
-                        v *= xi ** ei
-                    except OverflowError:
-                        # IEEE semantics instead of Python's pow exception
-                        v *= math.inf if (xi > 0.0 or ei % 2 == 0) else -math.inf
-                    if v == 0.0:
-                        break
+            for i, k in factors:
+                try:
+                    v *= x[i] ** k
+                except OverflowError:
+                    # IEEE semantics instead of Python's pow exception
+                    v *= math.inf if (x[i] > 0.0 or k % 2 == 0) else -math.inf
+                if v == 0.0:
+                    break
+            if v != v and any(x[i] == 0.0 for i, _ in factors):
+                v = 0.0  # inf * 0: a zero factor after one that overflowed
             total += v
-        return total
+            scale += abs(v)
+        return total, scale
 
     # -- printing ------------------------------------------------------------
 

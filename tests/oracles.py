@@ -18,6 +18,24 @@ def tau_closed_form(x1: float, x2: float) -> float:
     return (x2 - x1 + math.sqrt((x2 - x1) ** 2 + 2.0 * (x1 * x1 + x2 * x2))) / 2.0
 
 
+def eval_terms(P: MultiPoly, x) -> float:
+    """P(x) by walking the term map: the evaluation loop MultiPoly.eval
+    used before its term plan, kept as the bit-for-bit reference."""
+    total = 0.0
+    for e, c in P.terms.items():
+        v = c
+        for xi, ei in zip(x, e):
+            if ei:
+                try:
+                    v *= xi ** ei
+                except OverflowError:
+                    v *= math.inf if (xi > 0.0 or ei % 2 == 0) else -math.inf
+                if v == 0.0:
+                    break
+        total += v
+    return total
+
+
 def abs_eval(P: MultiPoly, x) -> float:
     """Sum of |coeff| * prod |x_i|^e_i; the natural evaluation scale at x."""
     total = 0.0
@@ -86,6 +104,10 @@ def _float_bits(x: float) -> int:
 
 def _bits_float(n: int) -> float:
     return struct.unpack("<d", struct.pack("<q", n))[0]
+
+
+def same_bits(a: float, b: float) -> bool:
+    return struct.pack("<d", a) == struct.pack("<d", b)
 
 
 def ulps_apart(a: float, b: float) -> int:

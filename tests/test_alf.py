@@ -6,6 +6,7 @@ import pytest
 from algly.alf import HomogenizedLyapunov, sample_directions
 from algly.dynsys import PolyVectorField, linear, rk4
 from algly.errors import (
+    DecayRateOverflowError,
     DegenerateGradientError,
     DegreeError,
     DimensionMismatchError,
@@ -188,6 +189,24 @@ def test_tau_dot_degenerate_gradient(contraction):
     L = HomogenizedLyapunov(parse("-1*(x1^2 + x2^2 - 1)^2", 2))
     with pytest.raises(DegenerateGradientError):
         L.tau_dot(contraction, (2.0, 0.0))
+
+
+def test_tau_dot_past_the_float_range_raises(disk_L):
+    # tau((1e200, 1e200)) is about 1e200, so c^(nu+1) = c^3 overflows
+    L = HomogenizedLyapunov(parse("(x1^2+x2^2)^3 - x1^5 + x2^3*x1 - 1 + x1", 2))
+    cubic = PolyVectorField((
+        parse("(x1^2+x2^2)*(-1.0*x1 + 0.5*x2)", 2),
+        parse("(x1^2+x2^2)*(-0.5*x1 - 1.0*x2)", 2),
+    ))
+    assert 1e199 < L.tau((1e200, 1e200)) < 1e201
+    with pytest.raises(DecayRateOverflowError):
+        L.tau_dot(cubic, (1e200, 1e200))
+    assert math.isfinite(L.tau_dot(cubic, (1e100, 1e100)))
+    # here c^1 is a float but c * (grad P . f) is not: tau_dot = -3 tau
+    fast = linear([[-3.0, 0.0], [0.0, -3.0]])
+    assert disk_L.tau_dot(fast, (1e307, 1e307)) == pytest.approx(-3e307, rel=1e-12)
+    with pytest.raises(DecayRateOverflowError):
+        disk_L.tau_dot(fast, (1e308, 1e308))
 
 
 def test_tau_dot_origin_rejected(disk_L, contraction):

@@ -211,6 +211,16 @@ def test_simulate(tmp_path, capsys):
         assert abs(tau_dot + tau) <= 1e-9  # linear contraction: tau_dot = -tau
 
 
+def test_simulate_past_the_float_range_is_a_json_error(tmp_path, capsys):
+    # tau at x0 is about 1e200 and the cubic field's tau_dot about 1e600
+    problem = write_problem(
+        tmp_path, P="(x1^2+x2^2)^3 - x1^5 + x2^3*x1 - 1 + x1", x0=[1e200, 1e200],
+        field={"components": ["(x1^2+x2^2)*(-1.0*x1 + 0.5*x2)", "(x1^2+x2^2)*(-0.5*x1 + -1.0*x2)"]})
+    code, out = run_cli(capsys, "simulate", "--problem", problem, "--T", "0")
+    assert code == 1
+    assert json.loads(out)["error"] == "DecayRateOverflowError"
+
+
 def test_simulate_zero_field_constant_tau(tmp_path, capsys):
     problem = write_problem(tmp_path, field={"matrix": [[0, 0], [0, 0]]}, x0=[2, 1])
     code, out = run_cli(capsys, "simulate", "--problem", problem, "--h", "0.1", "--T", "0.5")

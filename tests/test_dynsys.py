@@ -14,7 +14,7 @@ from algly.dynsys import (
 )
 from algly.errors import DimensionMismatchError, MixedDegreesError
 from algly.alf import HomogenizedLyapunov
-from algly.polycore import parse
+from algly.polycore import MultiPoly, parse
 
 
 def test_linear_minus_identity(contraction):
@@ -155,6 +155,13 @@ def test_invariance_boundary_points_lie_on_level_set(disk_poly, disk_L, contract
         t = disk_L.tau(d)
         y = tuple(v / t for v in d)
         assert abs(disk_poly.eval(y)) <= 1e-9
+
+
+def test_invariance_reuses_the_gradient_of_L(disk_poly, contraction, disk_L, monkeypatch):
+    expected = check_invariance(disk_poly, contraction, disk_L, 64)
+    monkeypatch.setattr(MultiPoly, "gradient", lambda self: pytest.fail("gradient rebuilt"))
+    report = check_invariance(disk_poly, contraction, disk_L, 64)
+    assert report.worst_margin == expected.worst_margin
 
 
 def test_invariance_mismatched_L(disk_poly, contraction):

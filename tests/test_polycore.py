@@ -1,7 +1,10 @@
+import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algly.errors import (
     DimensionMismatchError,
@@ -11,7 +14,7 @@ from algly.errors import (
 )
 from algly.polycore import MultiPoly, parse
 
-from oracles import abs_eval, random_poly
+from oracles import abs_eval, eval_terms, random_poly, same_bits
 
 
 # hand expansion of (x1-1)^2 + (x2+1)^2 - 4
@@ -97,6 +100,53 @@ def test_eval_zero_poly():
 def test_eval_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         parse("x1", 2).eval((1.0,))
+    with pytest.raises(DimensionMismatchError):
+        parse("x1", 2).eval_and_scale((1.0, 2.0, 3.0))
+
+
+@st.composite
+def _poly_and_point(draw):
+    """A polynomial in 1-4 variables with exponents 0-5 and a point whose
+    coordinates include signed zeros, negative bases and tiny values; the
+    magnitudes keep every term finite."""
+    nvars = draw(st.integers(1, 4))
+    exponents = st.tuples(*[st.integers(0, 5)] * nvars)
+    coeffs = st.floats(-1e3, 1e3, allow_nan=False).filter(lambda c: c != 0.0)
+    terms = draw(st.lists(st.tuples(exponents, coeffs), max_size=8))
+    coordinate = st.one_of(st.sampled_from((0.0, -0.0, -1.0, -2.0, 1e-200, -1e-200)),
+                           st.floats(-8.0, 8.0, allow_nan=False))
+    return MultiPoly(nvars, terms), draw(st.lists(coordinate, min_size=nvars, max_size=nvars))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_poly_and_point())
+def test_eval_matches_the_term_map_walk_bit_for_bit(case):
+    P, x = case
+    value, scale = P.eval_and_scale(x)
+    assert same_bits(P.eval(x), eval_terms(P, x))
+    assert same_bits(value, eval_terms(P, x))
+    assert same_bits(scale, abs_eval(P, x))
+    for g in P.gradient():
+        assert same_bits(g.eval_and_scale(x)[1], abs_eval(g, x))
+
+
+@pytest.mark.parametrize("text, x", [
+    ("x1^2*x2", (1e200, 0.0)),
+    ("x1*x2^2", (0.0, 1e200)),
+    ("x1^2*x2", (-1e200, -0.0)),
+    ("x1^3*x2*x3", (-1e200, 2.0, 0.0)),
+    ("1e300*x1*x2", (1e300, 0.0)),   # the product overflows, not the power
+    ("x1*x2", (math.inf, 0.0)),
+])
+def test_zero_factor_gives_a_zero_term_in_any_order(text, x):
+    P = parse(text + " + 1", len(x))
+    assert P.eval(x) == 1.0
+    assert P.eval_and_scale(x) == (1.0, 1.0)
+
+
+def test_overflowing_term_keeps_its_sign():
+    assert parse("x1^3*x2 + 1", 2).eval((-1e200, 2.0)) == -math.inf
+    assert parse("x1^2*x2", 2).eval_and_scale((-1e200, 2.0)) == (math.inf, math.inf)
 
 
 def test_gradient_disk():
