@@ -28,16 +28,13 @@ from .errors import (
     OriginNotInteriorError,
     ZeroPolynomialError,
 )
-from .homogenize import HomogeneousDecomposition, homogeneous_parts, homogenize, tau_coefficients
+from .homogenize import HomogeneousDecomposition, homogeneous_parts, tau_coefficients
 from .polycore import MultiPoly
 from .roots import RootList, UniPoly, positive_roots
 
 if TYPE_CHECKING:
     from .dynsys import PolyVectorField
 
-# Roots farther apart than this fraction of the Cauchy bound are genuinely
-# distinct; closer pairs are treated as refinement jitter / tangency.
-ROOT_SEPARATION_FACTOR = 1e-8
 # grad(P).y is compared against the term-magnitude scale of grad(P) at y;
 # the factor leaves room for the root's own positional error.
 _DEGENERATE_EPS = 1e-9
@@ -110,7 +107,6 @@ class HomogenizedLyapunov:
         self.nvars = P.nvars
         self.decomposition: HomogeneousDecomposition = decomposition
         self.p = decomposition.degree
-        self.homogenized = homogenize(decomposition)
         self.gradient = P.gradient()
         self.abs_tol = abs_tol
         self.rel_tol = rel_tol
@@ -130,8 +126,8 @@ class HomogenizedLyapunov:
         """The unique positive root of P~(x, .); 0 at the origin by convention.
 
         Raises NoPositiveRootError when the ray never meets the boundary
-        and MultiplePositiveRootsError when it meets it more than once
-        (roots closer than 1e-8 x Cauchy bound count as one tangency).
+        and MultiplePositiveRootsError when positive_roots finds more than
+        one crossing; a flagged tangent crossing is one root.
         A point too large or too small for the float range of its
         coefficients is solved as x / 2^e, and the root scaled back by 2^e;
         both steps are exact, by the degree-1 homogeneity of tau.
@@ -148,31 +144,21 @@ class HomogenizedLyapunov:
         if not rl.roots:
             raise NoPositiveRootError(x)
         if len(rl.roots) > 1:
-            gap_tol = ROOT_SEPARATION_FACTOR * rl.bound
-            gaps = [b - a for a, b in zip(rl.roots, rl.roots[1:])]
-            if any(g > gap_tol for g in gaps):
-                raise MultiplePositiveRootsError(x, tuple(math.ldexp(r, e) for r in rl.roots))
+            raise MultiplePositiveRootsError(x, tuple(math.ldexp(r, e) for r in rl.roots))
         return math.ldexp(rl.roots[0], e)
-
-    def tau_residual(self, x: Sequence[float]) -> float:
-        """|P(x / tau(x))|, the defining identity's defect; 0.0 at the origin."""
-        t = self.tau(x)
-        if t == 0.0:
-            return 0.0
-        return abs(self.P.eval([v / t for v in x]))
 
     # -- unicity / star-convexity ----------------------------------------------
 
-    def check_star_convex(self, n_directions: int | None = None) -> StarConvexityReport:
-        """Count boundary crossings along sampled rays from the origin.
+    def check_star_convex(self) -> StarConvexityReport:
+        """Count boundary crossings along ray_samples rays from the origin.
 
         For each unit direction d the radial polynomial r -> P(r*d) has
         coefficient vector [M_0(d) .. M_p(d)]; the set is star-convex
         exactly when every ray crosses the boundary once, i.e. the count
-        is 1 and the root is simple.  Failures carry the crossing radii.
+        is 1 and the root is not flagged as a tangency.  Failures carry
+        the crossing radii.
         """
-        n = self.ray_samples if n_directions is None else n_directions
-        directions = sample_directions(self.nvars, n, self.seed)
+        directions = sample_directions(self.nvars, self.ray_samples, self.seed)
         failures = []
         for idx, d in enumerate(directions):
             radial = UniPoly([part.eval(d) for part in self.decomposition.parts])
@@ -188,7 +174,7 @@ class HomogenizedLyapunov:
                 ))
         return StarConvexityReport(
             passed=not failures,
-            checked_directions=n,
+            checked_directions=self.ray_samples,
             failures=tuple(failures),
         )
 

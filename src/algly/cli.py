@@ -244,7 +244,9 @@ def cmd_tau(args) -> int:
     if not all(math.isfinite(v) for v in x):
         raise UsageError(f"--x values must be finite, got {list(x)}")
     value = L.tau(x)
-    payload = {"x": list(x), "tau": value, "residual": L.tau_residual(x) if value > 0.0 else None}
+    # |P(x / tau(x))|, the defect of the defining identity
+    residual = abs(problem.P.eval([v / value for v in x])) if value > 0.0 else None
+    payload = {"x": list(x), "tau": value, "residual": residual}
     if value == 0.0:
         payload["note"] = "tau(0) = 0 by the degree-1 homogeneity convention"
     _emit_json(payload, args.out)
@@ -260,6 +262,9 @@ def cmd_verify(args) -> int:
     h = float(settings["h"])
     T = float(settings["T"])
     strict_tol = float(settings["min_margin"])
+    multiplier = None
+    if problem.multiplier is not None:
+        multiplier = _multiplier_from_json(problem.multiplier, problem.nvars)
 
     checks: dict[str, dict] = {}
     origin_value = problem.P.eval((0.0,) * problem.nvars)
@@ -318,9 +323,8 @@ def cmd_verify(args) -> int:
     else:
         checks["decrease"] = {"status": "blocked", "reason": blocked_reason}
 
-    if problem.multiplier is not None:
-        cert = _multiplier_from_json(problem.multiplier, problem.nvars)
-        rep = certs.verify_multiplier(problem.P, problem.field, cert, seed=problem.seed)
+    if multiplier is not None:
+        rep = certs.verify_multiplier(problem.P, problem.field, multiplier, seed=problem.seed)
         checks["multiplier"] = _report_payload(rep)
 
     overall = all(entry.get("passed", False) for entry in checks.values() if "status" not in entry)
@@ -359,15 +363,23 @@ def _report_payload(report: dynsys.VerificationReport) -> dict:
 
 
 def _multiplier_from_json(data: dict, nvars: int) -> certs.MultiplierCertificate:
-    def gram_data(entry):
+    if not isinstance(data, dict) or "U1" not in data or "U2" not in data:
+        raise UsageError("a multiplier certificate needs 'U1' and 'U2'")
+
+    def gram_data(key):
         # GramCertificate normalizes the basis and converts Q to an array
-        return None if entry is None else (entry["basis"], entry["Q"])
+        entry = data.get(key)
+        if entry is None:
+            return None
+        if not (isinstance(entry, dict) and "basis" in entry and "Q" in entry):
+            raise UsageError(f"multiplier {key} needs 'basis' and 'Q'")
+        return entry["basis"], entry["Q"]
 
     return certs.MultiplierCertificate(
         U1=parse(data["U1"], nvars),
         U2=parse(data["U2"], nvars),
-        gram_U1=gram_data(data.get("gram_U1")),
-        gram_negG=gram_data(data.get("gram_negG")),
+        gram_U1=gram_data("gram_U1"),
+        gram_negG=gram_data("gram_negG"),
     )
 
 
@@ -431,9 +443,16 @@ def cmd_cert(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read certificate file: {exc}") from exc
 
+    if not isinstance(data, dict):
+        raise UsageError("certificate file must be a JSON object")
     if "basis" in data and "Q" in data:
+        if "target" not in data:
+            raise UsageError("a Gram certificate needs 'target'")
         target = parse(data["target"], problem.nvars)
-        cert = certs.GramCertificate(basis=data["basis"], Q=data["Q"], target=target)
+        try:
+            cert = certs.GramCertificate(basis=data["basis"], Q=data["Q"], target=target)
+        except (TypeError, ValueError) as exc:  # e.g. a repeated basis entry, a non-numeric Q
+            raise UsageError(f"invalid Gram certificate: {exc}") from exc
         report = certs.verify_gram(cert)
         payload = {
             "kind": "gram",

@@ -185,7 +185,6 @@ def check_invariance(
     L: "HomogenizedLyapunov",
     n_dirs: int = 4096,
     strict_tol: float = 0.0,
-    collect_details: bool = False,
 ) -> VerificationReport:
     """Sample the boundary {P = 0} and test grad(P).f < -strict_tol there.
 
@@ -198,8 +197,7 @@ def check_invariance(
     directions = sample_directions(P.nvars, n_dirs, L.seed)
     worst = -math.inf
     worst_witness = None
-    details: list[dict] = []
-    for idx, d in enumerate(directions):
+    for d in directions:
         t = L.tau(d)
         y = tuple(v / t for v in d)
         gvals = [g.eval(y) for g in L.gradient]
@@ -208,14 +206,11 @@ def check_invariance(
         if margin > worst:
             worst = margin
             worst_witness = y
-        if collect_details and len(details) < DETAILS_CAP:
-            details.append({"index": idx, "direction": d, "margin": margin})
     return VerificationReport(
         passed=worst < -strict_tol,
         n_samples=n_dirs,
         worst_margin=worst,
         worst_witness=worst_witness,
-        details=details,
         notes={"check": "invariance", "strict_tol": strict_tol},
     )
 

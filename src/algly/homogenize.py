@@ -40,24 +40,12 @@ class HomogeneousDecomposition:
     def degree(self) -> int:
         return len(self.parts) - 1
 
-    def reconstruct(self) -> MultiPoly:
-        total = MultiPoly.zero(self.nvars)
-        for part in self.parts:
-            total = total + part
-        return total
 
-
-def homogeneous_parts(P: MultiPoly, expected_degree: int | None = None) -> HomogeneousDecomposition:
-    """Split P into its homogeneous parts.
-
-    `expected_degree`, when given, guards against silent degree drop from
-    cancellation: a mismatch with the true degree is an error.
-    """
+def homogeneous_parts(P: MultiPoly) -> HomogeneousDecomposition:
+    """Split P into its homogeneous parts."""
     if P.is_zero():
         raise ZeroPolynomialError("cannot decompose the zero polynomial")
     p = P.degree()
-    if expected_degree is not None and expected_degree != p:
-        raise DegreeError(f"declared degree {expected_degree} but actual degree is {p}")
     buckets: list[dict] = [{} for _ in range(p + 1)]
     for e, c in P.terms.items():
         buckets[sum(e)][e] = c
@@ -73,18 +61,6 @@ def homogenize(decomposition: HomogeneousDecomposition) -> MultiPoly:
         for e, c in part.terms.items():
             out[e + (p - i,)] = c
     return MultiPoly(decomposition.nvars + 1, out)
-
-
-def dehomogenize(p_tilde: MultiPoly, value: float = 1.0) -> MultiPoly:
-    """Substitute the last variable by `value` (default 1), dropping it."""
-    if p_tilde.nvars < 2:
-        raise DimensionMismatchError("need at least two variables to drop one")
-    out: dict = {}
-    for e, c in p_tilde.terms.items():
-        base = e[:-1]
-        coeff = c * value ** e[-1] if e[-1] else c
-        out[base] = out.get(base, 0.0) + coeff
-    return MultiPoly(p_tilde.nvars - 1, out)
 
 
 def tau_coefficients(decomposition: HomogeneousDecomposition, x: Sequence[float]) -> list[float]:

@@ -8,9 +8,7 @@ no further work.  For V >= 2 the float coefficients, which are exact
 dyadic rationals, become exact integers, and Descartes bisection
 (Vincent-Collins-Akritas) splits (0, 2^K] into halves until each node's
 count is 0 or 1.  K comes from Kioustelidis' positive-root bound and is
-certified by a Descartes count of 0 past 2^K.  Every count is exact, and
-a root that falls exactly on a midpoint is recorded there; only the
-tangency rules below report a count other than the exact one.
+certified by a Descartes count of 0 past 2^K.  Every count is exact.
 
 Each isolating interval holds one simple root, across which the
 polynomial changes sign.  A bracketed Newton solver (rtsafe-style: Newton
@@ -19,13 +17,21 @@ bisection otherwise) refines it until the Newton step is a few ulps of
 the root.  A root that misses the residual bound
 |q(r)| <= abs_tol + rel_tol*S(r) is refined again to float resolution.
 
-Rounding the coefficients of a tangent crossing splits its double root
-into two close roots or a complex pair, and exact counts see either one.
-Two rules report such a crossing as one flagged root at the root r* of
-q' nearby, when |q(r*)| <= 1e-12*S(r*): (i) a node with count >= 2 whose
-two halves both count 0, and (ii) neighbouring roots closer than 1e-6*r.
-A node with count >= 2 narrower than REFINE_WIDTH_FACTOR times its upper
-end is one flagged root too.  Everything here is a pure function of the coefficient
+A returned root is flagged as a possible multiple root, which stands for
+a tangent crossing, only where an exact count or multiplicity says so:
+  - a root exactly on a bisection midpoint whose exact multiplicity m,
+    the number of zero low coefficients there, is 2 or more;
+  - a node that still counts 2 or more when narrower than
+    REFINE_WIDTH_FACTOR times its upper end, reported once at the root
+    of q' in it;
+  - rounding the coefficients of a tangent crossing splits its double
+    root into two close roots or a complex pair, and exact counts see
+    either one: (i) a node that counts 2 or more whose two halves both
+    count 0, and (ii) neighbouring roots closer than 1e-6*r.  Each is
+    reported as one root at the root r* of q' nearby, when
+    |q(r*)| <= 1e-12*S(r*).
+A root from V = 1 or from a count-1 node is simple by Descartes' rule and
+is never flagged.  Everything here is a pure function of the coefficient
 vector, so identical inputs give bitwise-identical outputs.
 """
 
@@ -39,7 +45,6 @@ from .errors import ZeroPolynomialError
 REFINE_WIDTH_FACTOR = 1e-13   # narrowest bisection node, relative to its upper end
 _TANGENT_EPS = 1e-12          # |q(r*)| below this x S(r*) => tangent crossing at r*
 _MERGE_GAP = 1e-6             # neighbouring roots closer than this x r may be one tangency
-_MULTIPLE_EPS = 1e-8          # |q'(root)| below this x derivative scale => suspected multiple
 _STOP_ULPS = 4 * 2.220446049250313e-16  # Newton step, relative to x, that ends refinement
 
 
@@ -65,22 +70,17 @@ class UniPoly:
     def is_zero(self) -> bool:
         return self.degree < 0
 
-    def deriv(self) -> "UniPoly":
-        if self.degree < 1:
-            return UniPoly((0.0,))
-        return UniPoly(tuple(k * self.coeffs[k] for k in range(1, self.degree + 1)))
-
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs[:self.degree + 1])})"
 
 
 @dataclass(frozen=True)
 class RootList:
-    """Sorted positive roots with per-root suspected-multiple flags."""
+    """Sorted positive roots; suspected_multiple[i] flags roots[i] as a
+    possible tangent crossing (see the module docstring for when)."""
 
     roots: tuple[float, ...]
     suspected_multiple: tuple[bool, ...]
-    bound: float  # Cauchy bound 1 + max|c_k|/|c_lead| of the positive roots
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -101,10 +101,6 @@ def _abs_eval_list(c: list[float], t: float) -> float:
     for k in range(len(c) - 1, -1, -1):
         acc = acc * s + abs(c[k])
     return acc
-
-
-def _deriv_list(c: list[float]) -> list[float]:
-    return [k * c[k] for k in range(1, len(c))]
 
 
 def _sign_changes(values) -> int:
@@ -204,7 +200,7 @@ def _isolate(coeffs: list[float], abs_tol: float, rel_tol: float) -> list[tuple[
     when its parent splits.  The left half is 2^n q(x/2), the right half
     its Taylor shift by 1, whose constant is q at the midpoint.
     """
-    slope = _deriv_list(coeffs)
+    slope = [k * c for k, c in enumerate(coeffs) if k]
     while slope[0] == 0.0:
         slope.pop(0)
     K, q = _start_interval(coeffs)
@@ -226,10 +222,10 @@ def _isolate(coeffs: list[float], abs_tol: float, rel_tol: float) -> list[tuple[
         right = _shift1(left)
         on_mid = right[0] == 0
         if on_mid:
-            found.append((0.5 * (lo + hi), False))
-            m = 1
+            m = 1  # the root's exact multiplicity
             while right[m] == 0:
                 m += 1
+            found.append((0.5 * (lo + hi), m > 1))
             right = right[m:]
         count_left, count_right = _descartes_count(left), _descartes_count(right)
         if count_left == count_right == 0 and not on_mid:
@@ -308,12 +304,11 @@ def positive_roots(q: UniPoly, abs_tol: float = 1e-12, rel_tol: float = 1e-12) -
     coefficients isolates every root.  Every count is certified.
 
     Every returned root r satisfies |q(r)| <= abs_tol + rel_tol * S(r)
-    with S(r) = sum_k |c_k| r^k.  A root whose derivative value is tiny
-    against its own scale is flagged suspected-multiple rather than split.
-    A tangent crossing that rounding split into two close roots or a
-    complex pair is reported as one flagged root, and so are roots closer
-    than the narrowest bisection node.  Degree-0 input with a nonzero
-    constant yields an empty list.
+    with S(r) = sum_k |c_k| r^k.  Only V >= 2 can flag a root: an exact
+    midpoint root of multiplicity >= 2, a tangent crossing that rounding
+    split into two close roots or a complex pair, or roots closer than the
+    narrowest bisection node, each reported once.  Degree-0 input with a
+    nonzero constant yields an empty list.
     """
     if q.is_zero():
         raise ZeroPolynomialError("root isolation of the zero polynomial")
@@ -323,30 +318,19 @@ def positive_roots(q: UniPoly, abs_tol: float = 1e-12, rel_tol: float = 1e-12) -
     while coeffs[m] == 0.0:
         m += 1
     coeffs = coeffs[m:]
-    if len(coeffs) == 1:
-        return RootList((), (), bound=1.0)
-    bound = 1.0 + max(abs(c) for c in coeffs[:-1]) / abs(coeffs[-1])
     variations = _sign_changes(coeffs)
     if variations == 0:
-        return RootList((), (), bound=bound)
-    if variations == 1:
-        neg_lo = coeffs[0] < 0.0
-        fhi = _eval_list(coeffs, bound)
-        if fhi == 0.0:
-            root = bound
-        else:
-            # B has the sign of q(0) only when the root lies within rounding
-            # of it; at 2B the leading term is over half of S(2B), so the
-            # float sign there is exact
-            hi = bound if (fhi < 0.0) != neg_lo else 2.0 * bound
-            root = _refine(coeffs, 0.0, hi, neg_lo, abs_tol, rel_tol)
-        found = [(root, False)]
-    else:
+        return RootList((), ())
+    if variations > 1:
         found = _isolate(coeffs, abs_tol, rel_tol)
-
-    dcoeffs = _deriv_list(coeffs)
-    roots = tuple(r for r, _ in found)
-    flags = tuple(
-        flag or abs(_eval_list(dcoeffs, r)) <= _MULTIPLE_EPS * _abs_eval_list(dcoeffs, r)
-        for r, flag in found)
-    return RootList(roots, flags, bound=bound)
+        return RootList(tuple(r for r, _ in found), tuple(flag for _, flag in found))
+    neg_lo = coeffs[0] < 0.0
+    bound = 1.0 + max(abs(c) for c in coeffs[:-1]) / abs(coeffs[-1])
+    fhi = _eval_list(coeffs, bound)
+    if fhi == 0.0:
+        return RootList((bound,), (False,))
+    # B has the sign of q(0) only when the root lies within rounding of it;
+    # at 2B the leading term is over half of S(2B), so the float sign there
+    # is exact
+    hi = bound if (fhi < 0.0) != neg_lo else 2.0 * bound
+    return RootList((_refine(coeffs, 0.0, hi, neg_lo, abs_tol, rel_tol),), (False,))

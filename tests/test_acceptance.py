@@ -140,10 +140,10 @@ def test_c06_invariance_margin():
 
 
 def test_c07_star_convexity_discrimination():
-    disk = HomogenizedLyapunov(parse(DISK_TEXT, 2)).check_star_convex(256)
+    disk = HomogenizedLyapunov(parse(DISK_TEXT, 2)).check_star_convex()
     ok_disk = disk.passed and disk.checked_directions == 256 and not disk.failures
 
-    annulus = HomogenizedLyapunov(parse(ANNULUS_TEXT, 2)).check_star_convex(256)
+    annulus = HomogenizedLyapunov(parse(ANNULUS_TEXT, 2)).check_star_convex()
     ok_annulus = (not annulus.passed) and len(annulus.failures) == 256 and all(
         f.root_count == 2
         and abs(f.roots[0] - 1.0) <= 1e-9
@@ -151,7 +151,7 @@ def test_c07_star_convexity_discrimination():
         for f in annulus.failures
     )
 
-    hyper = HomogenizedLyapunov(parse(HYPERBOLA_TEXT, 2)).check_star_convex(256)
+    hyper = HomogenizedLyapunov(parse(HYPERBOLA_TEXT, 2)).check_star_convex()
     up = {f.index: f for f in hyper.failures}.get(64)
     ok_hyper = (not hyper.passed) and up is not None and up.root_count == 0
 

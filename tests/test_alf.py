@@ -84,7 +84,8 @@ def test_tau_boundary_consistency(disk_L):
         x = tuple(float(v) for v in rng.uniform(-5.0, 5.0, 2))
         if x == (0.0, 0.0):
             continue
-        assert disk_L.tau_residual(x) <= 1e-9
+        t = disk_L.tau(x)
+        assert abs(disk_L.P.eval([v / t for v in x])) <= 1e-9
 
 
 def test_tau_is_one_on_boundary(disk_L):
@@ -103,18 +104,25 @@ def test_tau_no_positive_root():
         L.tau((0.0, 1.0))
 
 
-def test_tau_multiple_positive_roots():
-    L = HomogenizedLyapunov(parse(ANNULUS_TEXT, 2))
+@pytest.mark.parametrize("s, text", [
+    pytest.param(1.0, ANNULUS_TEXT, id="scale-1"),
+    pytest.param(1e-3, "-(x1^2+x2^2-1e-6)*(x1^2+x2^2-4e-6)", id="scale-1e-3"),
+    pytest.param(1e-6, "-(x1^2+x2^2-1e-12)*(x1^2+x2^2-4e-12)", id="scale-1e-6"),
+])
+def test_tau_multiple_positive_roots(s, text):
+    # the annulus 1 <= |x| <= 2 shrunk by s: its two crossings stay two
+    # roots however small the set is
+    L = HomogenizedLyapunov(parse(text, 2))
     with pytest.raises(MultiplePositiveRootsError) as err:
         L.tau((1.0, 0.0))
     assert len(err.value.roots) == 2
-    # scale roots of the homogenized polynomial: boundary radii 1 and 2 invert
-    assert abs(err.value.roots[0] - 0.5) <= 1e-9
-    assert abs(err.value.roots[1] - 1.0) <= 1e-9
+    # scale roots of the homogenized polynomial: boundary radii s and 2s invert
+    assert err.value.roots[0] == pytest.approx(0.5 / s, rel=1e-9)
+    assert err.value.roots[1] == pytest.approx(1.0 / s, rel=1e-9)
 
 
 def test_star_convex_disk(disk_L):
-    report = disk_L.check_star_convex(256)
+    report = disk_L.check_star_convex()
     assert report.passed
     assert report.checked_directions == 256
     assert report.failures == ()
@@ -122,7 +130,7 @@ def test_star_convex_disk(disk_L):
 
 def test_star_convex_annulus_two_crossings():
     L = HomogenizedLyapunov(parse(ANNULUS_TEXT, 2))
-    report = L.check_star_convex(256)
+    report = L.check_star_convex()
     assert not report.passed
     assert len(report.failures) == 256
     for fail in report.failures:
@@ -133,7 +141,7 @@ def test_star_convex_annulus_two_crossings():
 
 def test_star_convex_hyperbola_no_root_witness():
     L = HomogenizedLyapunov(parse(HYPERBOLA_TEXT, 2))
-    report = L.check_star_convex(256)
+    report = L.check_star_convex()
     assert not report.passed
     by_index = {fail.index: fail for fail in report.failures}
     up = by_index[64]  # direction (cos(pi/2), sin(pi/2)) ~ (0, 1)
@@ -142,9 +150,9 @@ def test_star_convex_hyperbola_no_root_witness():
 
 
 def test_star_convex_tangency_reported_not_raised():
-    L = HomogenizedLyapunov(parse("-1*(x1^2 + x2^2 - 1)^2", 2))
+    L = HomogenizedLyapunov(parse("-1*(x1^2 + x2^2 - 1)^2", 2), ray_samples=64)
     assert abs(L.tau((3.0, 0.0)) - 3.0) <= 1e-9  # tangent crossing still evaluates
-    report = L.check_star_convex(64)
+    report = L.check_star_convex()
     assert not report.passed
     assert all(f.suspected_tangency for f in report.failures)
 
@@ -243,7 +251,7 @@ def test_tau_on_a_large_disk():
 
 @pytest.mark.parametrize("text", ["x1^2+x2^2-1e-12", "1e6*x1^2+x2^2-1e-6"])
 def test_star_convex_small_ellipses(text):
-    report = HomogenizedLyapunov(parse(text, 2)).check_star_convex(256)
+    report = HomogenizedLyapunov(parse(text, 2)).check_star_convex()
     assert report.passed and report.failures == ()
 
 

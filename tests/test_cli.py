@@ -92,6 +92,17 @@ def test_tau_exit_codes(tmp_path, capsys):
     assert payload["roots"] == pytest.approx([0.5, 1.0], abs=1e-9)
 
 
+def test_tau_on_a_small_annulus_is_multiple_roots(tmp_path, capsys):
+    # the annulus shrunk 1000x: its crossings at radii 1e-3 and 2e-3 are
+    # two roots 500 apart in the scale variable, not one
+    annulus = write_problem(tmp_path, P="-(x1^2+x2^2-1e-6)*(x1^2+x2^2-4e-6)")
+    code, out = run_cli(capsys, "tau", "--problem", annulus, "--x", "1", "0")
+    assert code == 4
+    payload = json.loads(out)
+    assert payload["error"] == "multiple_positive_roots"
+    assert payload["roots"] == pytest.approx([500.0, 1000.0], rel=1e-9)
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     problem = write_problem(tmp_path, P="2x1 + 1")
     code, out = run_cli(capsys, "tau", "--problem", problem, "--x", "1", "0")
@@ -332,6 +343,33 @@ def test_cert_command_multiplier(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["kind"] == "multiplier" and payload["passed"]
+
+
+_GRAM_NO_Q = {"basis": [[1, 0], [0, 1], [0, 0]]}
+
+
+@pytest.mark.parametrize("command, cert", [
+    pytest.param("cert", {"basis": [[1, 0]], "Q": [[1]]}, id="cert-gram-no-target"),
+    pytest.param("cert", {"basis": [[1, 0], [1, 0]], "Q": [[1, 0], [0, 1]], "target": "2*x1^2"},
+                 id="cert-gram-repeated-basis"),
+    pytest.param("cert", {"basis": 5, "Q": [[1]], "target": "1"}, id="cert-gram-basis-not-a-list"),
+    pytest.param("cert", {"U1": "1", "U2": "1", "gram_negG": _GRAM_NO_Q}, id="cert-multiplier-no-Q"),
+    pytest.param("verify", {"U1": "1", "U2": "1", "gram_negG": _GRAM_NO_Q}, id="verify-multiplier-no-Q"),
+])
+def test_malformed_certificate_is_usage_error(tmp_path, capsys, command, cert):
+    # the certificate of `cert` is its own file; that of `verify` is the
+    # problem's multiplier entry
+    if command == "cert":
+        problem = write_problem(tmp_path)
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert))
+        argv = ["--cert", str(path)]
+    else:
+        problem = write_problem(tmp_path, multiplier=cert)
+        argv = []
+    code, out = run_cli(capsys, command, "--problem", problem, *argv)
+    assert code == 2
+    assert json.loads(out)["error"] == "usage"
 
 
 def test_missing_field_is_usage_error(tmp_path, capsys):

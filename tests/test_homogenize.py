@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from algly.errors import DegreeError, DimensionMismatchError, ZeroPolynomialError
-from algly.homogenize import (
-    dehomogenize,
-    euler_residual,
-    homogeneous_parts,
-    homogenize,
-    tau_coefficients,
-)
+from algly.errors import DimensionMismatchError, ZeroPolynomialError
+from algly.homogenize import euler_residual, homogeneous_parts, homogenize, tau_coefficients
 from algly.polycore import MultiPoly, parse
 
 from oracles import random_poly
@@ -41,13 +35,6 @@ def test_zero_polynomial_rejected():
         homogeneous_parts(MultiPoly.zero(2))
 
 
-def test_declared_degree_mismatch():
-    P = parse("x1^2 + 1", 2)
-    assert homogeneous_parts(P, expected_degree=2).degree == 2
-    with pytest.raises(DegreeError):
-        homogeneous_parts(P, expected_degree=3)
-
-
 def test_homogenize_disk(disk_poly):
     H = homogenize(homogeneous_parts(disk_poly))
     assert H.nvars == 3
@@ -58,8 +45,8 @@ def test_homogenize_disk(disk_poly):
         (0, 1, 1): 2.0,
         (0, 0, 2): -2.0,
     }
-    # substituting the scale variable by 1 recovers P exactly
-    assert dehomogenize(H) == disk_poly
+    # dropping the scale exponent recovers P's term map exactly
+    assert {e[:-1]: c for e, c in H.terms.items()} == disk_poly.terms
 
 
 def test_homogenize_already_homogeneous():
@@ -102,7 +89,16 @@ def test_reconstruction_is_exact():
         P = random_poly(rng, 2, 5, 10)
         if P.is_zero():
             continue
-        assert homogeneous_parts(P).reconstruct() == P
+        # the parts' term maps partition P's, and so does P~'s without
+        # its scale exponent
+        D = homogeneous_parts(P)
+        merged: dict = {}
+        for part in D.parts:
+            assert merged.keys().isdisjoint(part.terms)
+            merged.update(part.terms)
+        assert merged == P.terms
+        H = homogenize(D)
+        assert {e[:-1]: c for e, c in H.terms.items()} == P.terms
 
 
 def test_tau_coefficients_disk(disk_poly):

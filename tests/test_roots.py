@@ -253,10 +253,12 @@ def test_no_sign_change_gives_no_root(coeffs):
 @pytest.mark.parametrize("n", range(2, 21))
 def test_sturm_total_on_integer_root_products(n):
     # prod (t - k) up to Wilkinson's n = 20: the count matches an exact
-    # Sturm count on the float coefficients
+    # Sturm count on the float coefficients, and every root comes from a
+    # count-1 node or an exact simple midpoint root, so none is flagged
     coeffs = expand_from_roots([float(k) for k in range(1, n + 1)])
     rl = positive_roots(UniPoly(coeffs))
     assert len(rl) == n == exact_positive_root_count(coeffs)
+    assert rl.suspected_multiple == (False,) * n
 
 
 def test_sturm_total_on_annulus_radial():
