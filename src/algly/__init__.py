@@ -37,6 +37,7 @@ from .dynsys import (
 )
 from .errors import (
     AlglyError,
+    CertificateError,
     DecayRateOverflowError,
     DegenerateGradientError,
     DegreeError,
@@ -64,6 +65,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlglyError",
+    "CertificateError",
     "DecayRateOverflowError",
     "DegenerateGradientError",
     "DegreeError",

@@ -29,7 +29,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .homogenize import HomogeneousDecomposition, homogeneous_parts, tau_coefficients
-from .polycore import MultiPoly
+from .polycore import MultiPoly, PolyFamily
 from .roots import RootList, UniPoly, positive_roots
 
 if TYPE_CHECKING:
@@ -95,8 +95,7 @@ class HomogenizedLyapunov:
     ):
         if P.is_zero():
             raise ZeroPolynomialError("cannot build a scaling function from the zero polynomial")
-        origin = (0.0,) * P.nvars
-        value_at_origin = P.eval(origin)
+        value_at_origin = P.coefficient((0,) * P.nvars)   # P(0): every other term is 0 there
         if value_at_origin >= 0.0:
             raise OriginNotInteriorError(
                 f"P(0) = {value_at_origin} must be negative (origin strictly inside the set)")
@@ -107,7 +106,7 @@ class HomogenizedLyapunov:
         self.nvars = P.nvars
         self.decomposition: HomogeneousDecomposition = decomposition
         self.p = decomposition.degree
-        self.gradient = P.gradient()
+        self.gradient_family = PolyFamily(P.gradient())
         self.abs_tol = abs_tol
         self.rel_tol = rel_tol
         self.ray_samples = ray_samples
@@ -161,7 +160,7 @@ class HomogenizedLyapunov:
         directions = sample_directions(self.nvars, self.ray_samples, self.seed)
         failures = []
         for idx, d in enumerate(directions):
-            radial = UniPoly([part.eval(d) for part in self.decomposition.parts])
+            radial = UniPoly(self.decomposition.family.eval_and_scale(d)[0][::-1])
             rl = positive_roots(radial, self.abs_tol, self.rel_tol)
             tangent = any(rl.suspected_multiple)
             if len(rl.roots) != 1 or tangent:
@@ -200,7 +199,7 @@ class HomogenizedLyapunov:
             raise ValueError("tau_dot is undefined at the origin")
         c = self.tau(x) if tau is None else tau
         y = [v / c for v in x]
-        gvals, gscales = zip(*[g.eval_and_scale(y) for g in self.gradient])
+        gvals, gscales = self.gradient_family.eval_and_scale(y)
         denom = sum(gv * yv for gv, yv in zip(gvals, y))
         scale = sum(gs * abs(yv) for gs, yv in zip(gscales, y))
         if abs(denom) <= _DEGENERATE_EPS * max(1.0, scale):

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from .dynsys import PolyVectorField, VerificationReport
-from .errors import DimensionMismatchError
-from .polycore import Exponents, MultiPoly
+from .errors import CertificateError, DimensionMismatchError
+from .polycore import Exponents, MultiPoly, PolyFamily
 
 if TYPE_CHECKING:
     import numpy as np
@@ -65,6 +65,14 @@ class GramCertificate:
         Qs = 0.5 * (Q + Q.T)
         Qs.flags.writeable = False
         object.__setattr__(self, "Q", Qs)
+
+
+def build_gram(basis, Q, target: MultiPoly, what: str = "Gram certificate") -> GramCertificate:
+    """GramCertificate(basis, Q, target); a refusal raises CertificateError."""
+    try:
+        return GramCertificate(basis, Q, target)
+    except (TypeError, ValueError, DimensionMismatchError) as exc:
+        raise CertificateError(f"invalid {what}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -237,6 +245,12 @@ def verify_multiplier(
         lie = lie + g * comp
     G = cert.U1 * lie + cert.U2 * P
     skip_origin = G.coefficient((0,) * P.nvars) == 0.0
+    # malformed Gram blocks are refused before any sampling
+    grams = {}
+    if cert.gram_U1 is not None:
+        grams["gram_U1"] = build_gram(*cert.gram_U1, cert.U1, "multiplier gram_U1")
+    if cert.gram_negG is not None:
+        grams["gram_negG"] = build_gram(*cert.gram_negG, -G, "multiplier gram_negG")
 
     if grid is None:
         grid = default_grid(P.nvars) if P.nvars <= 3 else []
@@ -250,6 +264,7 @@ def verify_multiplier(
     samples = [tuple(float(v) for v in pt) for pt in grid]
     samples += [tuple(float(v) for v in rng.uniform(-5.0, 5.0, P.nvars)) for _ in range(n_random)]
 
+    G_and_U1 = PolyFamily((G, cert.U1))
     worst_G = -math.inf
     worst_witness = None
     min_U1 = math.inf
@@ -259,11 +274,10 @@ def verify_multiplier(
         if skip_origin and all(v == 0.0 for v in pt):
             continue
         n_used += 1
-        g_val = G.eval(pt)
+        (g_val, u_val), _ = G_and_U1.eval_and_scale(pt)
         if g_val > worst_G:
             worst_G = g_val
             worst_witness = pt
-        u_val = cert.U1.eval(pt)
         if u_val < min_U1:
             min_U1 = u_val
             min_U1_witness = pt
@@ -280,18 +294,12 @@ def verify_multiplier(
     sampled_ok = worst_G < 0.0 and min_U1 >= 0.0
 
     certified = None
-    if cert.gram_U1 is not None:
-        basis, Q = cert.gram_U1
-        report = verify_gram(GramCertificate(basis, Q, cert.U1))
-        notes["gram_U1_passed"] = report.passed
-        certified = report.passed
-    if cert.gram_negG is not None:
-        basis, Q = cert.gram_negG
-        report = verify_gram(GramCertificate(basis, Q, -G))
-        notes["gram_negG_passed"] = report.passed
+    for key, gram in grams.items():
+        report = verify_gram(gram)
+        notes[f"{key}_passed"] = report.passed
         certified = report.passed if certified is None else (certified and report.passed)
     if certified is not None:
-        notes["certified"] = certified and cert.gram_U1 is not None and cert.gram_negG is not None
+        notes["certified"] = certified and len(grams) == 2
 
     passed = sampled_ok and (certified is None or certified)
     return VerificationReport(

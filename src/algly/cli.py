@@ -35,6 +35,7 @@ from . import certs, dynsys
 from .alf import HomogenizedLyapunov
 from .errors import (
     AlglyError,
+    CertificateError,
     MultiplePositiveRootsError,
     NoPositiveRootError,
     OriginNotInteriorError,
@@ -267,7 +268,7 @@ def cmd_verify(args) -> int:
         multiplier = _multiplier_from_json(problem.multiplier, problem.nvars)
 
     checks: dict[str, dict] = {}
-    origin_value = problem.P.eval((0.0,) * problem.nvars)
+    origin_value = problem.P.coefficient((0,) * problem.nvars)   # P(0): every other term is 0 there
     checks["origin_interior"] = {"passed": origin_value < 0.0, "value_at_origin": origin_value}
 
     checks["field_homogeneity"] = {"passed": True, "nu": problem.field.nu}
@@ -449,10 +450,7 @@ def cmd_cert(args) -> int:
         if "target" not in data:
             raise UsageError("a Gram certificate needs 'target'")
         target = parse(data["target"], problem.nvars)
-        try:
-            cert = certs.GramCertificate(basis=data["basis"], Q=data["Q"], target=target)
-        except (TypeError, ValueError) as exc:  # e.g. a repeated basis entry, a non-numeric Q
-            raise UsageError(f"invalid Gram certificate: {exc}") from exc
+        cert = certs.build_gram(data["basis"], data["Q"], target)
         report = certs.verify_gram(cert)
         payload = {
             "kind": "gram",
@@ -551,7 +549,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         _emit_json({"error": "parse", "message": str(exc), "offset": exc.offset}, None)
         return EXIT_PARSE
-    except UsageError as exc:
+    except (UsageError, CertificateError) as exc:
         _emit_json({"error": "usage", "message": str(exc)}, None)
         return EXIT_PARSE
     except NoPositiveRootError as exc:

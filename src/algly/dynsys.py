@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .errors import DimensionMismatchError, MixedDegreesError
 from .homogenize import euler_residual
-from .polycore import MultiPoly
+from .polycore import MultiPoly, PolyFamily
 from .alf import sample_directions
 
 if TYPE_CHECKING:
@@ -63,6 +63,7 @@ class PolyVectorField:
 
     components: tuple[MultiPoly, ...]
     nu: int = None  # type: ignore[assignment]  # inferred when omitted
+    _family: PolyFamily = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         components = tuple(self.components)
@@ -78,13 +79,14 @@ class PolyVectorField:
                 if not euler_residual(comp, self.nu + 1).is_zero():
                     raise MixedDegreesError(
                         f"component {i + 1} is not homogeneous of degree {self.nu + 1}")
+        object.__setattr__(self, "_family", PolyFamily(components))
 
     @property
     def nvars(self) -> int:
         return self.components[0].nvars
 
     def eval_at(self, x: Sequence[float]) -> tuple[float, ...]:
-        return tuple(comp.eval(x) for comp in self.components)
+        return self._family.eval_and_scale(x)[0]
 
 
 def linear(A) -> PolyVectorField:
@@ -200,7 +202,7 @@ def check_invariance(
     for d in directions:
         t = L.tau(d)
         y = tuple(v / t for v in d)
-        gvals = [g.eval(y) for g in L.gradient]
+        gvals = L.gradient_family.eval_and_scale(y)[0]
         fvals = f.eval_at(y)
         margin = sum(gv * fv for gv, fv in zip(gvals, fvals))
         if margin > worst:

@@ -28,6 +28,11 @@ class DimensionMismatchError(AlglyError):
     """Operands disagree on the number of variables, or a point has the wrong length."""
 
 
+class CertificateError(AlglyError):
+    """A supplied certificate is malformed: a repeated basis entry, a Q of
+    the wrong shape or not symmetric, a basis or Q that is not numeric."""
+
+
 class ZeroPolynomialError(AlglyError):
     """An operation that requires a nonzero polynomial received the zero polynomial."""
 

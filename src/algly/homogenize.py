@@ -13,19 +13,23 @@ variable is stored as the last variable (index nvars + 1) so all of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import DegreeError, DimensionMismatchError, ZeroPolynomialError
-from .polycore import MultiPoly
+from .errors import DegreeError, ZeroPolynomialError
+from .polycore import MultiPoly, PolyFamily
 
 
 @dataclass(frozen=True)
 class HomogeneousDecomposition:
-    """Parts [M_0 .. M_p] of a polynomial, indexed by total degree."""
+    """Parts [M_0 .. M_p] of a polynomial, indexed by total degree.
+
+    `family` evaluates the parts top-down, M_p .. M_0, so its values are
+    the coefficients of `tau_coefficients` in order."""
 
     nvars: int
     parts: tuple[MultiPoly, ...]
+    family: PolyFamily = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.parts:
@@ -35,6 +39,7 @@ class HomogeneousDecomposition:
         for i, part in enumerate(self.parts):
             if not part.is_zero() and any(sum(e) != i for e in part.terms):
                 raise DegreeError(f"part {i} is not homogeneous of degree {i}")
+        object.__setattr__(self, "family", PolyFamily(self.parts[::-1]))
 
     @property
     def degree(self) -> int:
@@ -69,11 +74,7 @@ def tau_coefficients(decomposition: HomogeneousDecomposition, x: Sequence[float]
     c_k = M_(p-k)(x), so c_p is the constant part of P and c_0 the value
     of the top-degree part at x.
     """
-    if len(x) != decomposition.nvars:
-        raise DimensionMismatchError(
-            f"point has length {len(x)}, expected {decomposition.nvars}")
-    p = decomposition.degree
-    return [decomposition.parts[p - k].eval(x) for k in range(p + 1)]
+    return list(decomposition.family.eval_and_scale(x)[0])
 
 
 def euler_residual(M: MultiPoly, k: int) -> MultiPoly:

@@ -7,11 +7,25 @@ coefficients, e.g. ``{(2, 0): 1.0, (0, 1): -3.0}`` for ``x1^2 - 3*x2``.
 Terms with coefficient exactly 0.0 are never stored, and the term map is
 kept in graded-lexicographic order (total degree first, then the exponent
 tuple, both descending) so iteration, evaluation and printing are
-deterministic.  Evaluation walks a term plan built on first use,
-``(coefficient, ((variable index, exponent), ...))`` per term in the same
-order, nonzero exponents only.  Values are immutable after construction
-(the plan derives from the terms alone) and all operations are pure
-functions; instances can be shared freely across threads.
+deterministic.  Values are immutable after construction and all
+operations are pure functions; instances can be shared freely across
+threads.
+
+Evaluation is generated code.  `compile_family` turns a tuple of
+polynomials in the same variables into one straight-line Python function
+``x -> (values, scales)``, where a member's scale is the sum of its
+|term|s at x.  The function unpacks x once, computes each power
+``x_i ** k`` with k >= 2 once, uses ``x_i`` itself for k = 1, and spends
+one statement per term: ``t = C[j] * ...; v += t; s += abs(t)``, in
+term-map order, multiplying left to right from the coefficient and
+summing from 0.0.  The coefficients arrive as the tuple C, so the source
+holds only exponents and indices.  Where the straight line meets a
+non-finite case (a power that raises OverflowError, or an inf * 0 term
+that leaves a scale nan) the call is replayed through the per-factor
+loop, which gives IEEE infinities for overflowing powers and makes any
+term with a zero factor 0.  So every result is the per-factor loop's, bit
+for bit.  A `MultiPoly` compiles itself as a one-member family on its
+first evaluation; a `PolyFamily` compiles on its first call.
 
 Text grammar (explicit ``*`` required, no implicit multiplication)::
 
@@ -117,6 +131,10 @@ class MultiPoly:
 
     __hash__ = None  # mutable-looking container semantics
 
+    def __reduce__(self):
+        # the compiled evaluator is a closure, which pickle cannot carry
+        return MultiPoly, (self.nvars, self._terms)
+
     def __repr__(self) -> str:
         return f"MultiPoly({self.nvars}, {self._terms!r})"
 
@@ -207,27 +225,11 @@ class MultiPoly:
         """(P(x), sum of |term| at x) in one pass; the sum is P's evaluation
         scale.  A zero factor zeroes its term in any position, even after a
         factor that overflows."""
-        if len(x) != self.nvars:
-            raise DimensionMismatchError(f"point has length {len(x)}, expected {self.nvars}")
-        if self._plan is None:
-            self._plan = tuple((c, tuple((i, k) for i, k in enumerate(e) if k))
-                               for e, c in self._terms.items())
-        total = scale = 0.0
-        for c, factors in self._plan:
-            v = c
-            for i, k in factors:
-                try:
-                    v *= x[i] ** k
-                except OverflowError:
-                    # IEEE semantics instead of Python's pow exception
-                    v *= math.inf if (x[i] > 0.0 or k % 2 == 0) else -math.inf
-                if v == 0.0:
-                    break
-            if v != v and any(x[i] == 0.0 for i, _ in factors):
-                v = 0.0  # inf * 0: a zero factor after one that overflowed
-            total += v
-            scale += abs(v)
-        return total, scale
+        fn = self._plan
+        if fn is None:
+            fn = self._plan = compile_family((self,))
+        (value,), (scale,) = fn(x)
+        return value, scale
 
     # -- printing ------------------------------------------------------------
 
@@ -243,6 +245,107 @@ class MultiPoly:
             else:
                 pieces.append(" - " + mag if c < 0 else " + " + mag)
         return "".join(pieces)
+
+
+class PolyFamily:
+    """Polynomials in the same variables, evaluated together through one
+    function that `compile_family` generates on the first call."""
+
+    __slots__ = ("polys", "_fn")
+
+    def __init__(self, polys: Sequence[MultiPoly]):
+        self.polys = tuple(polys)
+        if not self.polys:
+            raise ValueError("a family needs at least one polynomial")
+        if any(p.nvars != self.polys[0].nvars for p in self.polys):
+            raise DimensionMismatchError("family members disagree on the number of variables")
+        self._fn = None
+
+    def __reduce__(self):
+        return PolyFamily, (self.polys,)
+
+    def eval_and_scale(self, x: Sequence[float]) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """(values, scales) of the members at x, in member order."""
+        fn = self._fn
+        if fn is None:
+            fn = self._fn = compile_family(self.polys)
+        return fn(x)
+
+
+def compile_family(polys: Sequence[MultiPoly]):
+    """The straight-line function x -> (values, scales) of `polys` (see the
+    module docstring).  Each term is one statement, since one expression
+    summing thousands of terms overflows CPython's compiler stack."""
+    polys = tuple(polys)
+    nvars = polys[0].nvars
+    coeffs: list[float] = []
+    powers: dict[str, str] = {}
+    body = []
+    for m, poly in enumerate(polys):
+        body.append(f"v{m} = s{m} = 0.0")
+        for e, c in poly._terms.items():
+            factors = [f"C[{len(coeffs)}]"]
+            coeffs.append(c)
+            for i, k in enumerate(e):
+                if k == 1:
+                    factors.append(f"x{i}")
+                elif k:
+                    name = f"x{i}_{k}"
+                    powers[name] = f"{name} = x{i} ** {k}"
+                    factors.append(name)
+            body.append(f"t = {' * '.join(factors)}; v{m} += t; s{m} += abs(t)")
+    members = range(len(polys))
+    values = "".join(f"v{m}, " for m in members)
+    scales = "".join(f"s{m}, " for m in members)
+    source = "\n".join([
+        "def make(C, polys, abs, replay, DimensionMismatchError):",
+        "    def family(x):",
+        "        try:",
+        f"            {''.join(f'x{i}, ' for i in range(nvars))}= x",
+        "        except ValueError:",
+        "            raise DimensionMismatchError(",
+        f"                f'point has length {{len(x)}}, expected {nvars}') from None",
+        "        try:",
+        *(f"            {line}" for line in [*powers.values(), *body]),
+        "        except OverflowError:",
+        "            return replay(polys, x)",
+        f"        if {' or '.join(f's{m} != s{m}' for m in members)}:",
+        "            return replay(polys, x)",
+        f"        return ({values}), ({scales})",
+        "    return family",
+    ])
+    namespace: dict = {}
+    exec(compile(source, "<polycore family>", "exec"), namespace)
+    return namespace["make"](tuple(coeffs), polys, abs, _eval_by_factors, DimensionMismatchError)
+
+
+def _eval_by_factors(polys: Sequence[MultiPoly], x: Sequence[float]) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The per-factor loop that defines every result: IEEE infinities for
+    powers past the float range, and 0 for a term with a zero factor, also
+    after a factor that overflowed.  Generated families replay it on
+    non-finite cases."""
+    values, scales = [], []
+    for poly in polys:
+        total = scale = 0.0
+        for e, c in poly._terms.items():
+            v = c
+            for xi, k in zip(x, e):
+                if not k:
+                    continue
+                try:
+                    v *= xi ** k
+                except OverflowError:
+                    # IEEE semantics instead of Python's pow exception
+                    v *= math.inf if (xi > 0.0 or k % 2 == 0) else -math.inf
+                if v == 0.0:
+                    break
+            if v != v and any(xi == 0.0 for xi, k in zip(x, e) if k):
+                v = 0.0  # inf * 0: a zero factor after one that overflowed
+            total += v
+            scale += abs(v)
+        values.append(total)
+        scales.append(scale)
+    return tuple(values), tuple(scales)
 
 
 def _format_coeff(c: float) -> str:

@@ -1,10 +1,15 @@
 import pytest
+from hypothesis import settings
 
 from algly import HomogenizedLyapunov, linear, parse
 
 DISK_TEXT = "(x1-1)^2 + (x2+1)^2 - 4"
 ANNULUS_TEXT = "-(x1^2 + x2^2 - 1)*(x1^2 + x2^2 - 4)"
 HYPERBOLA_TEXT = "x1^2 - x2^2 - 1"
+
+# `pytest --hypothesis-profile=ci`: the same examples on every run, and a
+# failure prints the blob that replays it locally (@reproduce_failure)
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 @pytest.fixture(scope="session")

@@ -18,11 +18,16 @@ def tau_closed_form(x1: float, x2: float) -> float:
     return (x2 - x1 + math.sqrt((x2 - x1) ** 2 + 2.0 * (x1 * x1 + x2 * x2))) / 2.0
 
 
-def eval_terms(P: MultiPoly, x) -> float:
-    """P(x) by walking the term map: the evaluation loop MultiPoly.eval
-    used before its term plan, kept as the bit-for-bit reference."""
-    total = 0.0
+def term_values(P: MultiPoly, x) -> list[float]:
+    """Each term of P at x, in term-map order: the coefficient times each
+    power, left to right, with an IEEE infinity where Python's pow raises
+    OverflowError, and stopped at the first zero.  A term with a zero
+    coordinate among its variables is 0 (the zero-factor rule)."""
+    out = []
     for e, c in P.terms.items():
+        if any(xi == 0.0 for xi, ei in zip(x, e) if ei):
+            out.append(0.0)
+            continue
         v = c
         for xi, ei in zip(x, e):
             if ei:
@@ -32,7 +37,25 @@ def eval_terms(P: MultiPoly, x) -> float:
                     v *= math.inf if (xi > 0.0 or ei % 2 == 0) else -math.inf
                 if v == 0.0:
                     break
+        out.append(v)
+    return out
+
+
+def eval_terms(P: MultiPoly, x) -> float:
+    """P(x) as the sum of term_values from 0.0 in term-map order: the
+    bit-for-bit reference for MultiPoly.eval."""
+    total = 0.0
+    for v in term_values(P, x):
         total += v
+    return total
+
+
+def scale_terms(P: MultiPoly, x) -> float:
+    """Sum of |term| over term_values: the scale reference for any point,
+    overflowing or not."""
+    total = 0.0
+    for v in term_values(P, x):
+        total += abs(v)
     return total
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from algly.certs import (
     verify_multiplier,
 )
 from algly.dynsys import PolyVectorField, linear
-from algly.errors import DimensionMismatchError
-from algly.polycore import parse
+from algly.errors import CertificateError, DimensionMismatchError
+from algly.polycore import MultiPoly, PolyFamily, parse
+
+from oracles import eval_terms, same_bits
 
 
 def test_gram_identity_passes():
@@ -187,3 +190,42 @@ def test_multiplier_skips_structural_zero_at_origin():
     report = verify_multiplier(P, f, cert, n_random=100, seed=5)
     assert not report.passed
     assert report.notes["combination"] == "0"
+
+
+@pytest.mark.parametrize("gram_U1, gram_negG", [
+    pytest.param(None, (((1, 0), (1, 0), (0, 0)), np.eye(3)), id="negG-repeated-basis"),
+    pytest.param((((0, 0), (0, 0)), np.eye(2)), None, id="U1-repeated-basis"),
+    pytest.param(None, (((1, 0), (0, 1), (0, 0)), np.eye(2)), id="negG-Q-wrong-shape"),
+    pytest.param((((0, 0),), [[1.0, 0.0]]), None, id="U1-Q-wrong-shape"),
+])
+def test_multiplier_refuses_bad_gram_blocks_before_sampling(
+        monkeypatch, disk_poly, contraction, gram_U1, gram_negG):
+    def no_sampling(*args):
+        raise AssertionError("sampling started before the Gram blocks were checked")
+
+    monkeypatch.setattr("algly.certs.PolyFamily", no_sampling)
+    cert = MultiplierCertificate(U1=parse("1", 2), U2=parse("1", 2),
+                                 gram_U1=gram_U1, gram_negG=gram_negG)
+    with pytest.raises(CertificateError, match="invalid multiplier gram_"):
+        verify_multiplier(disk_poly, contraction, cert, seed=5)
+
+
+def test_multiplier_of_more_than_3000_terms():
+    # G = U1 * grad(P).f + U2 * P is dense of degree 14 in 4 variables
+    P = parse("(x1+x2+x3+x4+1)^4 - 2", 4)
+    f = linear(-np.eye(4))
+    cert = MultiplierCertificate(U1=parse("1", 4), U2=parse("(x1+x2+x3+x4+1)^10", 4))
+    lie = MultiPoly.zero(4)
+    for g, comp in zip(P.gradient(), f.components):
+        lie = lie + g * comp
+    G = cert.U1 * lie + cert.U2 * P
+    assert len(G.terms) > 3000
+    points = [(0.1, -0.2, 0.05, 0.3), (-0.4, 0.1, 0.2, -0.3), (0.0, 0.5, -0.5, 0.25)]
+    family = PolyFamily((G, cert.U1))
+    t0 = time.perf_counter()
+    family.eval_and_scale(points[0])   # compiles
+    print(f"\nG: {len(G.terms)} terms compiled in {(time.perf_counter() - t0) * 1e3:.0f} ms")
+    for x in points:
+        assert same_bits(family.eval_and_scale(x)[0][0], eval_terms(G, x))
+    report = verify_multiplier(P, f, cert, grid=points, n_random=0)
+    assert same_bits(report.worst_margin, max(eval_terms(G, x) for x in points))

@@ -346,6 +346,10 @@ def test_cert_command_multiplier(tmp_path, capsys):
 
 
 _GRAM_NO_Q = {"basis": [[1, 0], [0, 1], [0, 0]]}
+_REPEATED_NEG_G = {"U1": "1", "U2": "1",
+                   "gram_negG": {"basis": [[1, 0], [1, 0], [0, 0]],
+                                 "Q": [[1, 0, 0], [0, 1, 0], [0, 0, 2]]}}
+_WRONG_SHAPE_U1 = {"U1": "1", "U2": "1", "gram_U1": {"basis": [[0, 0]], "Q": [[1, 0]]}}
 
 
 @pytest.mark.parametrize("command, cert", [
@@ -355,10 +359,21 @@ _GRAM_NO_Q = {"basis": [[1, 0], [0, 1], [0, 0]]}
     pytest.param("cert", {"basis": 5, "Q": [[1]], "target": "1"}, id="cert-gram-basis-not-a-list"),
     pytest.param("cert", {"U1": "1", "U2": "1", "gram_negG": _GRAM_NO_Q}, id="cert-multiplier-no-Q"),
     pytest.param("verify", {"U1": "1", "U2": "1", "gram_negG": _GRAM_NO_Q}, id="verify-multiplier-no-Q"),
+    pytest.param("cert", {"basis": [[1, 0]], "Q": [[1, 0], [0, 1]], "target": "x1^2"},
+                 id="cert-gram-Q-wrong-shape"),
+    pytest.param("cert", _REPEATED_NEG_G, id="cert-multiplier-repeated-basis"),
+    pytest.param("verify", _REPEATED_NEG_G, id="verify-multiplier-repeated-basis"),
+    pytest.param("cert", _WRONG_SHAPE_U1, id="cert-multiplier-Q-wrong-shape"),
+    pytest.param("verify", _WRONG_SHAPE_U1, id="verify-multiplier-Q-wrong-shape"),
 ])
-def test_malformed_certificate_is_usage_error(tmp_path, capsys, command, cert):
+def test_malformed_certificate_is_usage_error(tmp_path, capsys, monkeypatch, command, cert):
     # the certificate of `cert` is its own file; that of `verify` is the
-    # problem's multiplier entry
+    # problem's multiplier entry.  A malformed multiplier is refused before
+    # its sampling loop builds the family of G and U1.
+    def no_sampling(*args):
+        raise AssertionError("multiplier sampling started")
+
+    monkeypatch.setattr("algly.certs.PolyFamily", no_sampling)
     if command == "cert":
         problem = write_problem(tmp_path)
         path = tmp_path / "cert.json"

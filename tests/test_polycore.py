@@ -1,4 +1,5 @@
 import math
+import pickle
 import time
 
 import numpy as np
@@ -12,9 +13,9 @@ from algly.errors import (
     ParseError,
     VariableIndexError,
 )
-from algly.polycore import MultiPoly, parse
+from algly.polycore import MultiPoly, PolyFamily, parse
 
-from oracles import abs_eval, eval_terms, random_poly, same_bits
+from oracles import abs_eval, eval_terms, random_poly, same_bits, scale_terms
 
 
 # hand expansion of (x1-1)^2 + (x2+1)^2 - 4
@@ -142,6 +143,101 @@ def test_zero_factor_gives_a_zero_term_in_any_order(text, x):
     P = parse(text + " + 1", len(x))
     assert P.eval(x) == 1.0
     assert P.eval_and_scale(x) == (1.0, 1.0)
+
+
+# coordinates at the edges of the float range, negative bases and Python ints
+_EDGE_COORDINATES = (0.0, -0.0, 5e-324, -5e-324, 1e-200, -1e-200, 1e200, -1e200,
+                     math.inf, -math.inf, -1.0, -2.0, 0, 3, -7, 2 ** 60 + 1)
+
+
+@st.composite
+def _family_and_point(draw):
+    """1-4 polynomials in the same 1-4 variables and a point whose
+    coordinates overflow powers and products, underflow them to 0, and
+    meet inf * 0."""
+    nvars = draw(st.integers(1, 4))
+    exponents = st.tuples(*[st.integers(0, 4)] * nvars)
+    coeffs = st.one_of(st.floats(-1e3, 1e3, allow_nan=False).filter(lambda c: c != 0.0),
+                       st.sampled_from((1e-300, -1e300, 0.5)))
+    polys = draw(st.lists(
+        st.lists(st.tuples(exponents, coeffs), max_size=8).map(lambda t: MultiPoly(nvars, t)),
+        min_size=1, max_size=4))
+    coordinate = st.one_of(st.sampled_from(_EDGE_COORDINATES), st.floats(-8.0, 8.0, allow_nan=False))
+    return polys, draw(st.lists(coordinate, min_size=nvars, max_size=nvars))
+
+
+def _assert_family_matches_references(polys, x):
+    values, scales = PolyFamily(polys).eval_and_scale(x)
+    assert len(values) == len(scales) == len(polys)
+    for P, value, scale in zip(polys, values, scales):
+        assert same_bits(value, eval_terms(P, x)), (P, x)
+        assert same_bits(scale, scale_terms(P, x)), (P, x)
+        single = P.eval_and_scale(x)
+        assert same_bits(single[0], value) and same_bits(single[1], scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_family_and_point())
+def test_family_matches_the_references_bit_for_bit(case):
+    _assert_family_matches_references(*case)
+
+
+@pytest.mark.parametrize("x", [
+    (1e200, 0.0, 1.0),      # a zero factor after a power that overflows
+    (0.0, 1e200, 1.0),      # and before it
+    (-1e200, -0.0, 2.0),
+    (1e-200, 1e-200, math.inf),   # the product underflows to 0 before an inf factor
+    (5e-324, -0.5, -math.inf),
+    (math.inf, 0, -math.inf),
+    (10 ** 400, 2.0, 1.0),   # a Python int past the float range
+])
+def test_family_replays_non_finite_cases(x):
+    polys = [parse(text, 3) for text in (
+        "x1^2*x2 + x1*x2^2*x3 + 1",
+        "1e-300*x1*x2*x3 - x3^3",
+        "x1*x2*x3^2 + 2*x1 - x2",
+        "7",
+    )]
+    _assert_family_matches_references(polys, x)
+
+
+def test_family_refuses_mixed_spaces_and_wrong_points():
+    with pytest.raises(DimensionMismatchError):
+        PolyFamily([parse("x1", 1), parse("x1", 2)])
+    with pytest.raises(ValueError):
+        PolyFamily([])
+    with pytest.raises(DimensionMismatchError, match="point has length 3, expected 2"):
+        PolyFamily([parse("x1", 2)]).eval_and_scale((1.0, 2.0, 3.0))
+
+
+def test_evaluated_polynomials_pickle():
+    P, Q = parse("x1^2*x2 - 3*x1 + 1", 2), parse("x2^3", 2)
+    family = PolyFamily([P, Q])
+    x = (0.5, -2.0)
+    P.eval(x)
+    family.eval_and_scale(x)   # both now hold a compiled closure
+    assert pickle.loads(pickle.dumps(P)) == P
+    assert pickle.loads(pickle.dumps(family)).eval_and_scale(x) == family.eval_and_scale(x)
+
+
+def _first_call_s(polys, x):
+    family = PolyFamily(polys)
+    t0 = time.perf_counter()
+    family.eval_and_scale(x)   # compiles
+    return time.perf_counter() - t0, family
+
+
+@pytest.mark.parametrize("text, nvars, points", [
+    ("(x1+x2+1)^61", 2, [(0.3, -0.2), (-0.7, 0.25), (0.0, 1.5), (3.0, 4.0)]),
+    ("(x1+1)^1000", 1, [(0.5,), (-1.5,), (-0.0,), (3.0,)]),   # 3.0 overflows
+])
+def test_family_compiles_at_the_parser_budget(text, nvars, points):
+    P = parse(text, nvars)
+    compile_s, family = _first_call_s([P], points[0])
+    print(f"\n{text}: {len(P.terms)} terms compiled in {compile_s * 1e3:.0f} ms")
+    for x in points:
+        (value,), (scale,) = family.eval_and_scale(x)
+        assert same_bits(value, eval_terms(P, x)) and same_bits(scale, scale_terms(P, x))
 
 
 def test_overflowing_term_keeps_its_sign():
