@@ -30,13 +30,13 @@ from .errors import (
 )
 from .homogenize import HomogeneousDecomposition, homogeneous_parts, tau_coefficients
 from .polycore import MultiPoly, PolyFamily
-from .roots import RootList, UniPoly, positive_roots
+from .roots import UniPoly, positive_roots
 
 if TYPE_CHECKING:
     from .dynsys import PolyVectorField
 
-# grad(P).y is compared against the term-magnitude scale of grad(P) at y;
-# the factor leaves room for the root's own positional error.
+# grad(P).y is compared against the term-magnitude scale of grad(P) at y,
+# which scales with P; the factor leaves room for the root's positional error.
 _DEGENERATE_EPS = 1e-9
 
 
@@ -82,17 +82,9 @@ class StarConvexityReport:
 
 
 class HomogenizedLyapunov:
-    """P together with its homogeneous parts and root-solver settings."""
+    """P together with its homogeneous parts and sampling settings."""
 
-    def __init__(
-        self,
-        P: MultiPoly,
-        *,
-        abs_tol: float = 1e-12,
-        rel_tol: float = 1e-12,
-        ray_samples: int = 256,
-        seed: int = 0,
-    ):
+    def __init__(self, P: MultiPoly, *, ray_samples: int = 256, seed: int = 0):
         if P.is_zero():
             raise ZeroPolynomialError("cannot build a scaling function from the zero polynomial")
         value_at_origin = P.coefficient((0,) * P.nvars)   # P(0): every other term is 0 there
@@ -107,8 +99,6 @@ class HomogenizedLyapunov:
         self.decomposition: HomogeneousDecomposition = decomposition
         self.p = decomposition.degree
         self.gradient_family = PolyFamily(P.gradient())
-        self.abs_tol = abs_tol
-        self.rel_tol = rel_tol
         self.ray_samples = ray_samples
         self.seed = seed
         # tau rescales x by a power of two where max|x_i|^p leaves half the
@@ -116,10 +106,6 @@ class HomogenizedLyapunov:
         self._unscaled = (2.0 ** (-511 / self.p), 2.0 ** (512 / self.p))
 
     # -- the scaling function -------------------------------------------------
-
-    def _positive_roots_at(self, x: Sequence[float]) -> RootList:
-        coeffs = tau_coefficients(self.decomposition, x)
-        return positive_roots(UniPoly(coeffs), self.abs_tol, self.rel_tol)
 
     def tau(self, x: Sequence[float]) -> float:
         """The unique positive root of P~(x, .); 0 at the origin by convention.
@@ -139,7 +125,8 @@ class HomogenizedLyapunov:
         e = 0
         if not self._unscaled[0] <= big <= self._unscaled[1]:
             e = math.frexp(big)[1]  # 0 for inf and nan, which fail later
-        rl = self._positive_roots_at([math.ldexp(v, -e) for v in x] if e else x)
+        xs = [math.ldexp(v, -e) for v in x] if e else x
+        rl = positive_roots(UniPoly(tau_coefficients(self.decomposition, xs)))
         if not rl.roots:
             raise NoPositiveRootError(x)
         if len(rl.roots) > 1:
@@ -161,7 +148,7 @@ class HomogenizedLyapunov:
         failures = []
         for idx, d in enumerate(directions):
             radial = UniPoly(self.decomposition.family.eval_and_scale(d)[0][::-1])
-            rl = positive_roots(radial, self.abs_tol, self.rel_tol)
+            rl = positive_roots(radial)
             tangent = any(rl.suspected_multiple)
             if len(rl.roots) != 1 or tangent:
                 failures.append(StarConvexityFailure(
@@ -202,7 +189,7 @@ class HomogenizedLyapunov:
         gvals, gscales = self.gradient_family.eval_and_scale(y)
         denom = sum(gv * yv for gv, yv in zip(gvals, y))
         scale = sum(gs * abs(yv) for gs, yv in zip(gscales, y))
-        if abs(denom) <= _DEGENERATE_EPS * max(1.0, scale):
+        if abs(denom) <= _DEGENERATE_EPS * scale:
             raise DegenerateGradientError(
                 f"grad(P).y = {denom} vanishes at the boundary point {tuple(y)}")
         fvals = f.eval_at(y)

@@ -55,6 +55,8 @@ class GramCertificate:
             if any(k < 0 for k in e):
                 raise ValueError(f"basis exponents must be non-negative, got {e}")
         Q = np.asarray(self.Q, dtype=float)
+        if not np.isfinite(Q).all():
+            raise ValueError("Q entries must be finite")
         m = len(basis)
         if Q.shape != (m, m):
             raise DimensionMismatchError(f"Q has shape {Q.shape}, expected ({m}, {m})")
@@ -71,7 +73,7 @@ def build_gram(basis, Q, target: MultiPoly, what: str = "Gram certificate") -> G
     """GramCertificate(basis, Q, target); a refusal raises CertificateError."""
     try:
         return GramCertificate(basis, Q, target)
-    except (TypeError, ValueError, DimensionMismatchError) as exc:
+    except (TypeError, ValueError, OverflowError, DimensionMismatchError) as exc:
         raise CertificateError(f"invalid {what}: {exc}") from exc
 
 
@@ -116,11 +118,11 @@ def expand_quadratic_form(basis: Sequence[Exponents], M: np.ndarray, nvars: int)
     return MultiPoly(nvars, out)
 
 
-def jacobi_eigenvalues(A: np.ndarray, off_tol: float = JACOBI_OFF_TOL) -> tuple[float, ...]:
+def jacobi_eigenvalues(A: np.ndarray) -> tuple[float, ...]:
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 
     Sweeps run until the off-diagonal Frobenius norm falls below
-    off_tol relative to the matrix's Frobenius norm.  Returns the
+    JACOBI_OFF_TOL relative to the matrix's Frobenius norm.  Returns the
     eigenvalues sorted ascending.
     """
     import numpy as np
@@ -130,7 +132,7 @@ def jacobi_eigenvalues(A: np.ndarray, off_tol: float = JACOBI_OFF_TOL) -> tuple[
     if n == 1:
         return (float(A[0, 0]),)
     norm = float(np.linalg.norm(A))
-    target = off_tol * max(norm, 1e-300)
+    target = JACOBI_OFF_TOL * max(norm, 1e-300)
     for _ in range(_JACOBI_MAX_SWEEPS):
         off = math.sqrt(sum(2.0 * A[p, q] ** 2 for p in range(n) for q in range(p + 1, n)))
         if off <= target:
@@ -153,15 +155,14 @@ def jacobi_eigenvalues(A: np.ndarray, off_tol: float = JACOBI_OFF_TOL) -> tuple[
     return tuple(sorted(float(v) for v in np.diag(A)))
 
 
-def verify_gram(cert: GramCertificate, psd_tol: float | None = None) -> GramReport:
+def verify_gram(cert: GramCertificate) -> GramReport:
     """Check the coefficient identity and positive semidefiniteness of Q.
 
-    Both checks are required.  `psd_tol` defaults to 1e-9 times the
-    largest |Q| entry; a smallest eigenvalue within +-psd_tol of zero is
-    reported as marginal instead of silently flipping the verdict.
+    Both checks are required.  The PSD tolerance psd_tol is 1e-9 times
+    the largest |Q| entry; a smallest eigenvalue within +-psd_tol of zero
+    is reported as marginal instead of silently flipping the verdict.
     """
-    if psd_tol is None:
-        psd_tol = 1e-9 * max(float(abs(cert.Q).max()), 1e-300)
+    psd_tol = 1e-9 * max(float(abs(cert.Q).max()), 1e-300)
     expanded = expand_quadratic_form(cert.basis, cert.Q, cert.target.nvars)
     mismatches = []
     max_err = 0.0
@@ -213,9 +214,9 @@ def gram_euler_identity(cert: GramCertificate) -> MultiPoly:
     return euler - scaled.scale(2.0)
 
 
-def default_grid(nvars: int, half_width: float = 5.0, points_per_axis: int = 41) -> list[tuple[float, ...]]:
-    """Uniform grid over [-half_width, half_width]^nvars."""
-    axis = [(-half_width + 2.0 * half_width * k / (points_per_axis - 1)) for k in range(points_per_axis)]
+def default_grid(nvars: int) -> list[tuple[float, ...]]:
+    """Uniform grid of 41 points per axis over [-5, 5]^nvars."""
+    axis = [-5.0 + 10.0 * k / 40 for k in range(41)]
     grid = [()]
     for _ in range(nvars):
         grid = [g + (a,) for g in grid for a in axis]
@@ -244,6 +245,8 @@ def verify_multiplier(
     for g, comp in zip(P.gradient(), f.components):
         lie = lie + g * comp
     G = cert.U1 * lie + cert.U2 * P
+    if not all(map(math.isfinite, G.terms.values())):
+        raise CertificateError("a coefficient of U1 * grad(P).f + U2 * P is past the float range")
     skip_origin = G.coefficient((0,) * P.nvars) == 0.0
     # malformed Gram blocks are refused before any sampling
     grams = {}

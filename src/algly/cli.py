@@ -11,15 +11,17 @@ Problem files are JSON::
                      "gram_U1": {"basis": [[0,0]], "Q": [[1]]},
                      "gram_negG": {"basis": [[1,0],[0,1],[0,0]],
                                    "Q": [[1,0,0],[0,1,0],[0,0,2]]}},
-      "options": {"seed": 0, "ray_samples": 256, "n_dirs": 4096,
-                  "levels": [0.25, 0.5, 1], "abs_tol": 1e-12, "rel_tol": 1e-12,
-                  "h": 0.001, "T": 1.0}
+      "options": {"seed": 0, "ray_samples": 256, "n_dirs": 4096, "n_theta": 360,
+                  "levels": [0.25, 0.5, 1], "h": 0.001, "T": 1.0, "strict_tol": 0.0}
     }
+
+Each option a file gives is checked by its rule in `_OPTIONS` when the
+file loads, whatever the subcommand; other keys are ignored.  A flag, or
+ALGLY_SEED for the seed, overrides the file and is checked by the same rule.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 parse/usage error,
 3 no positive root, 4 multiple positive roots, 5 unsupported dimension.
-The ALGLY_SEED environment variable overrides the file seed.  Outputs
-are byte-identical across runs for identical inputs and seed.
+Outputs are byte-identical across runs for identical inputs and seed.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .errors import (
     ParseError,
 )
 from .homogenize import homogeneous_parts, homogenize
-from .polycore import MultiPoly, parse
+from .polycore import MAX_PARSE_TERMS, MultiPoly, parse
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -67,8 +69,8 @@ class UsageError(Exception):
     pass
 
 
-_COUNT_OPTIONS = ("ray_samples", "n_dirs", "n_theta")
-_REAL_OPTIONS = ("abs_tol", "rel_tol", "h", "T", "strict_tol")
+# Most rays, directions or angles one run may sample.
+MAX_SAMPLES = 1_000_000
 
 
 def _is_int(value) -> bool:
@@ -82,41 +84,69 @@ def _is_finite(value) -> bool:
 
 
 def _is_count(value) -> bool:
-    return _is_int(value) and value >= 1
+    return _is_int(value) and 1 <= value <= MAX_SAMPLES
 
 
-# Run settings a subcommand may take: flag attribute -> (options key,
-# default, check, what the check asks for).
-_SETTINGS = {
-    "n_dirs": ("n_dirs", 4096, _is_count, "a positive integer"),
-    "n_theta": ("n_theta", 360, _is_count, "a positive integer"),
-    "h": ("h", 1e-3, lambda v: _is_finite(v) and v > 0, "a positive finite number"),
-    "T": ("T", 1.0, lambda v: _is_finite(v) and v >= 0, "a non-negative finite number"),
-    "min_margin": ("strict_tol", 0.0, _is_finite, "a finite number"),
-    "levels": ("levels", [0.25, 0.5, 1.0],
+# Problem-file options: key -> (default, check, what the check asks for,
+# the flag that overrides it or None).  load_problem checks every value a
+# file gives, and _settings every flag given, so each setting is checked
+# by one rule wherever it comes from.
+_OPTIONS = {
+    # numpy's generators refuse negative seeds
+    "seed": (0, lambda v: _is_int(v) and v >= 0, "a non-negative integer", "--seed"),
+    "ray_samples": (256, _is_count, f"an integer from 1 to {MAX_SAMPLES}", None),
+    "n_dirs": (4096, _is_count, f"an integer from 1 to {MAX_SAMPLES}", "--n-dirs"),
+    "n_theta": (360, _is_count, f"an integer from 1 to {MAX_SAMPLES}", "--n-theta"),
+    "levels": ([0.25, 0.5, 1.0],
                lambda v: isinstance(v, list) and len(v) > 0 and all(_is_finite(x) for x in v),
-               "a non-empty list of finite numbers"),
+               "a non-empty list of finite numbers", "--levels"),
+    "h": (1e-3, lambda v: _is_finite(v) and v > 0, "a positive finite number", "--h"),
+    "T": (1.0, lambda v: _is_finite(v) and v >= 0, "a non-negative finite number", "--T"),
+    "strict_tol": (0.0, _is_finite, "a finite number", "--min-margin"),
 }
 
 
-def _settings(args, options: dict) -> dict:
-    """The run settings of this subcommand: each flag if given, else its
-    file option, else the default, checked after the override."""
+def _check(key: str, value, source: str):
+    _, check, wanted, _ = _OPTIONS[key]
+    if not check(value):
+        raise UsageError(f"{source} must be {wanted}, got {value!r}")
+    return value
+
+
+def _settings(args, options: dict, *keys: str) -> dict:
+    """The run settings `keys` of a subcommand: each flag if given, else
+    the file option, else the default."""
     out = {}
     sources = {}
-    for attr, (key, default, check, wanted) in _SETTINGS.items():
-        if not hasattr(args, attr):
-            continue
-        flag = getattr(args, attr)
-        value = flag if flag is not None else options.get(key, default)
-        sources[attr] = "--" + attr.replace("_", "-") if flag is not None else f"options.{key}"
-        if not check(value):
-            raise UsageError(f"{sources[attr]} must be {wanted}, got {value!r}")
-        out[attr] = value
+    for key in keys:
+        default, _, _, flag = _OPTIONS[key]
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is None:
+            out[key], sources[key] = options.get(key, default), f"options.{key}"
+        else:
+            out[key], sources[key] = _check(key, value, flag), flag
     if "h" in out and out["T"] / out["h"] > dynsys.MAX_STEPS:
         raise UsageError(f"{sources['T']} / {sources['h']} must be at most {dynsys.MAX_STEPS} "
                          f"integration steps, got {out['T'] / out['h']!r}")
     return out
+
+
+def _field_from_json(entry, nvars: int) -> dynsys.PolyVectorField:
+    if not isinstance(entry, dict):
+        raise UsageError("field must be a JSON object")
+    if "matrix" in entry:
+        rows = entry["matrix"]
+        if not (isinstance(rows, list) and len(rows) == nvars
+                and all(isinstance(row, list) and len(row) == nvars
+                        and all(_is_finite(a) for a in row) for row in rows)):
+            raise UsageError(f"field matrix must be {nvars} rows of {nvars} finite numbers")
+        return dynsys.linear(rows)
+    if "components" in entry:
+        texts = entry["components"]
+        if not (isinstance(texts, list) and len(texts) == nvars):
+            raise UsageError("field needs exactly nvars components")
+        return dynsys.PolyVectorField(tuple(parse(text, nvars) for text in texts))
+    raise UsageError("field must have either 'matrix' or 'components'")
 
 
 def load_problem(path: str, seed_flag: int | None = None) -> Problem:
@@ -130,35 +160,19 @@ def load_problem(path: str, seed_flag: int | None = None) -> Problem:
     if not isinstance(data, dict) or "nvars" not in data or "P" not in data:
         raise UsageError("problem file needs at least 'nvars' and 'P'")
     nvars = data["nvars"]
-    if not (_is_int(nvars) and nvars >= 1):
-        raise UsageError(f"nvars must be a positive integer, got {nvars!r}")
+    # a P that bounds its set has a term in every variable
+    if not (_is_int(nvars) and 1 <= nvars <= MAX_PARSE_TERMS):
+        raise UsageError(f"nvars must be an integer from 1 to {MAX_PARSE_TERMS}, got {nvars!r}")
     if not isinstance(data["P"], str):
         raise UsageError(f"P must be polynomial text, got {data['P']!r}")
     P = parse(data["P"], nvars)
     options = data.get("options", {})
     if not isinstance(options, dict):
         raise UsageError("options must be a JSON object")
-    for key in _COUNT_OPTIONS:
-        if key in options and not _is_count(options[key]):
-            raise UsageError(f"options.{key} must be a positive integer, got {options[key]!r}")
-    for key in _REAL_OPTIONS:
-        if key in options and not _is_finite(options[key]):
-            raise UsageError(f"options.{key} must be a finite number, got {options[key]!r}")
+    for key in [key for key in _OPTIONS if key in options]:
+        _check(key, options[key], f"options.{key}")
 
-    field = None
-    if "field" in data:
-        entry = data["field"]
-        if "matrix" in entry:
-            field = dynsys.linear(entry["matrix"])
-            if field.nvars != nvars:
-                raise UsageError("field matrix size disagrees with nvars")
-        elif "components" in entry:
-            comps = tuple(parse(text, nvars) for text in entry["components"])
-            if len(comps) != nvars:
-                raise UsageError("field needs exactly nvars components")
-            field = dynsys.PolyVectorField(comps)
-        else:
-            raise UsageError("field must have either 'matrix' or 'components'")
+    field = _field_from_json(data["field"], nvars) if "field" in data else None
 
     x0 = data.get("x0")
     if x0 is not None:
@@ -170,18 +184,15 @@ def load_problem(path: str, seed_flag: int | None = None) -> Problem:
 
     env_seed = os.environ.get("ALGLY_SEED")
     if seed_flag is not None:
-        source, seed = "--seed", seed_flag
+        seed = _check("seed", seed_flag, "--seed")
     elif env_seed is not None:
-        source = "ALGLY_SEED"
         try:
             seed = int(env_seed)
         except ValueError:
             seed = env_seed
+        _check("seed", seed, "ALGLY_SEED")
     else:
-        source, seed = "options.seed", options.get("seed", 0)
-    # numpy's generators refuse negative seeds
-    if not (_is_int(seed) and seed >= 0):
-        raise UsageError(f"{source} must be a non-negative integer, got {seed!r}")
+        seed = options.get("seed", _OPTIONS["seed"][0])
 
     return Problem(
         nvars=nvars,
@@ -197,9 +208,7 @@ def load_problem(path: str, seed_flag: int | None = None) -> Problem:
 def build_lyapunov(problem: Problem) -> HomogenizedLyapunov:
     return HomogenizedLyapunov(
         problem.P,
-        abs_tol=float(problem.options.get("abs_tol", 1e-12)),
-        rel_tol=float(problem.options.get("rel_tol", 1e-12)),
-        ray_samples=int(problem.options.get("ray_samples", 256)),
+        ray_samples=problem.options.get("ray_samples", _OPTIONS["ray_samples"][0]),
         seed=problem.seed,
     )
 
@@ -258,11 +267,11 @@ def cmd_verify(args) -> int:
     problem = load_problem(args.problem, args.seed)
     if problem.field is None:
         raise UsageError("verify needs a 'field' entry in the problem file")
-    settings = _settings(args, problem.options)
+    settings = _settings(args, problem.options, "n_dirs", "h", "T", "strict_tol")
     n_dirs = settings["n_dirs"]
     h = float(settings["h"])
     T = float(settings["T"])
-    strict_tol = float(settings["min_margin"])
+    strict_tol = float(settings["strict_tol"])
     multiplier = None
     if problem.multiplier is not None:
         multiplier = _multiplier_from_json(problem.multiplier, problem.nvars)
@@ -306,7 +315,7 @@ def cmd_verify(args) -> int:
 
     if blocked_reason is None:
         try:
-            inv = dynsys.check_invariance(problem.P, problem.field, L, n_dirs, strict_tol)
+            inv = dynsys.check_invariance(L, problem.field, n_dirs, strict_tol)
             checks["invariance"] = _report_payload(inv)
         except AlglyError as exc:
             checks["invariance"] = {"passed": False, "error": str(exc)}
@@ -389,7 +398,7 @@ def cmd_contour(args) -> int:
     if problem.nvars != 2:
         sys.stderr.write("contour emission is 2D-only\n")
         return EXIT_DIMENSION
-    settings = _settings(args, problem.options)
+    settings = _settings(args, problem.options, "levels", "n_theta")
     levels = [float(v) for v in settings["levels"]]
     n_theta = settings["n_theta"]
     L = build_lyapunov(problem)
@@ -415,7 +424,7 @@ def cmd_simulate(args) -> int:
         raise UsageError("simulate needs a 'field' entry in the problem file")
     if problem.x0 is None:
         raise UsageError("simulate needs an 'x0' entry in the problem file")
-    settings = _settings(args, problem.options)
+    settings = _settings(args, problem.options, "h", "T")
     h = float(settings["h"])
     T = float(settings["T"])
     L = build_lyapunov(problem)

@@ -182,21 +182,18 @@ class VerificationReport:
 
 
 def check_invariance(
-    P: MultiPoly,
-    f: PolyVectorField,
     L: "HomogenizedLyapunov",
+    f: PolyVectorField,
     n_dirs: int = 4096,
     strict_tol: float = 0.0,
 ) -> VerificationReport:
-    """Sample the boundary {P = 0} and test grad(P).f < -strict_tol there.
+    """Sample the boundary {P = 0} of L.P and test grad(P).f < -strict_tol there.
 
     Boundary points are d / tau(d) over n_dirs unit directions, so each
     satisfies P(y) = 0 up to root tolerance.  Root-count errors from tau
     (no root / several roots along a ray) propagate to the caller.
     """
-    if L.P != P:
-        raise ValueError("L was not built from this P")
-    directions = sample_directions(P.nvars, n_dirs, L.seed)
+    directions = sample_directions(L.nvars, n_dirs, L.seed)
     worst = -math.inf
     worst_witness = None
     for d in directions:

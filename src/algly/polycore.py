@@ -24,8 +24,9 @@ non-finite case (a power that raises OverflowError, or an inf * 0 term
 that leaves a scale nan) the call is replayed through the per-factor
 loop, which gives IEEE infinities for overflowing powers and makes any
 term with a zero factor 0.  So every result is the per-factor loop's, bit
-for bit.  A `MultiPoly` compiles itself as a one-member family on its
-first evaluation; a `PolyFamily` compiles on its first call.
+for bit.  A `PolyFamily` compiles on its first call; `MultiPoly.eval`,
+which serves one-shot evaluations, runs the per-factor loop and compiles
+nothing.
 
 Text grammar (explicit ``*`` required, no implicit multiplication)::
 
@@ -61,7 +62,7 @@ def grlex_key(exponents: Sequence[int]) -> tuple[int, tuple[int, ...]]:
 class MultiPoly:
     """Sparse multivariate polynomial with float coefficients."""
 
-    __slots__ = ("nvars", "_terms", "_plan")
+    __slots__ = ("nvars", "_terms")
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, float] | Iterable[tuple[Exponents, float]] = ()):
         if not isinstance(nvars, int) or nvars < 1:
@@ -83,7 +84,6 @@ class MultiPoly:
             for e in sorted(merged, key=grlex_key, reverse=True)
             if merged[e] != 0.0
         }
-        self._plan = None
 
     # -- constructors ------------------------------------------------------
 
@@ -130,10 +130,6 @@ class MultiPoly:
         )
 
     __hash__ = None  # mutable-looking container semantics
-
-    def __reduce__(self):
-        # the compiled evaluator is a closure, which pickle cannot carry
-        return MultiPoly, (self.nvars, self._terms)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.nvars}, {self._terms!r})"
@@ -218,18 +214,12 @@ class MultiPoly:
         return tuple(self.partial(i + 1) for i in range(self.nvars))
 
     def eval(self, x: Sequence[float]) -> float:
-        """Evaluate at a point; terms are summed in graded-lex order."""
-        return self.eval_and_scale(x)[0]
-
-    def eval_and_scale(self, x: Sequence[float]) -> tuple[float, float]:
-        """(P(x), sum of |term| at x) in one pass; the sum is P's evaluation
-        scale.  A zero factor zeroes its term in any position, even after a
-        factor that overflows."""
-        fn = self._plan
-        if fn is None:
-            fn = self._plan = compile_family((self,))
-        (value,), (scale,) = fn(x)
-        return value, scale
+        """Evaluate at a point; terms are summed in graded-lex order.  A zero
+        factor zeroes its term in any position, even after a factor that
+        overflows."""
+        if len(x) != self.nvars:
+            raise DimensionMismatchError(f"point has length {len(x)}, expected {self.nvars}")
+        return _eval_by_factors((self,), x)[0][0]
 
     # -- printing ------------------------------------------------------------
 
@@ -323,7 +313,7 @@ def _eval_by_factors(polys: Sequence[MultiPoly], x: Sequence[float]) -> tuple[tu
     """The per-factor loop that defines every result: IEEE infinities for
     powers past the float range, and 0 for a term with a zero factor, also
     after a factor that overflowed.  Generated families replay it on
-    non-finite cases."""
+    non-finite cases, and MultiPoly.eval runs it directly."""
     values, scales = [], []
     for poly in polys:
         total = scale = 0.0
@@ -452,13 +442,21 @@ class _Parser:
     def expr(self) -> MultiPoly:
         poly = self.term()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, offset = self.peek()
             if kind == "op" and text in "+-":
                 self.advance()
                 rhs = self.term()
-                poly = poly + rhs if text == "+" else poly - rhs
+                poly = self.finite(poly + rhs if text == "+" else poly - rhs, offset)
             else:
                 return poly
+
+    @staticmethod
+    def finite(poly: MultiPoly, offset: int) -> MultiPoly:
+        """poly, refused when the operation at offset left a coefficient
+        past the float range."""
+        if not all(map(math.isfinite, poly.terms.values())):
+            raise ParseError("a coefficient is past the float range", offset)
+        return poly
 
     def check_budget(self, degree: int, sparse_terms: int, offset: int) -> None:
         if degree > MAX_PARSE_DEGREE:
@@ -478,7 +476,7 @@ class _Parser:
                 rhs = self.factor()
                 self.check_budget(max(poly.degree(), 0) + max(rhs.degree(), 0),
                                   len(poly.terms) * len(rhs.terms), offset)
-                poly = poly * rhs
+                poly = self.finite(poly * rhs, offset)
             else:
                 return poly
 
@@ -490,13 +488,13 @@ class _Parser:
             k = self.uint_exponent()
             self.check_budget(max(poly.degree(), 0) * k,
                               math.comb(max(len(poly.terms), 1) + k - 1, k), offset)
-            poly = poly ** k
+            poly = self.finite(poly ** k, offset)
         return poly
 
     def base(self) -> MultiPoly:
         kind, text, offset = self.advance()
         if kind == "num":
-            return MultiPoly.constant(self.nvars, float(text))
+            return self.finite(MultiPoly.constant(self.nvars, float(text)), offset)
         if kind == "var":
             index = int(text[1:])
             if not 1 <= index <= self.nvars:
@@ -529,6 +527,9 @@ def parse(text: str, nvars: int) -> MultiPoly:
     """Parse polynomial text into fully expanded canonical sparse form.
 
     Raises ParseError (with byte offset), VariableIndexError or
-    ExponentError on malformed input.
+    ExponentError on malformed input, on a non-str (offset 0), and where a
+    literal or operation leaves a coefficient past the float range.
     """
+    if not isinstance(text, str):
+        raise ParseError(f"polynomial text must be a string, got {type(text).__name__}", 0)
     return _Parser(text, nvars).parse()

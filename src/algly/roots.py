@@ -14,8 +14,8 @@ Each isolating interval holds one simple root, across which the
 polynomial changes sign.  A bracketed Newton solver (rtsafe-style: Newton
 while the step stays inside the sign bracket and keeps shrinking,
 bisection otherwise) refines it until the Newton step is a few ulps of
-the root.  A root that misses the residual bound
-|q(r)| <= abs_tol + rel_tol*S(r) is refined again to float resolution.
+the root.  A root that misses |q(r)| <= 1e-12*S(r), S(r) = sum_k |c_k| r^k,
+is refined again to float resolution.
 
 A returned root is flagged as a possible multiple root, which stands for
 a tangent crossing, only where an exact count or multiplicity says so:
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from .errors import ZeroPolynomialError
 
 REFINE_WIDTH_FACTOR = 1e-13   # narrowest bisection node, relative to its upper end
-_TANGENT_EPS = 1e-12          # |q(r*)| below this x S(r*) => tangent crossing at r*
+_RESIDUAL_EPS = 1e-12         # r is a root of q when |q(r)| <= this x S(r)
 _MERGE_GAP = 1e-6             # neighbouring roots closer than this x r may be one tangency
 _STOP_ULPS = 4 * 2.220446049250313e-16  # Newton step, relative to x, that ends refinement
 
@@ -161,13 +161,12 @@ def _start_interval(coeffs: list[float]) -> tuple[int, list[int]]:
         K += 1
 
 
-def _refine(coeffs: list[float], lo: float, hi: float, neg_lo: bool,
-            abs_tol: float, rel_tol: float) -> float:
+def _refine(coeffs: list[float], lo: float, hi: float, neg_lo: bool) -> float:
     """The one simple root of coeffs in (lo, hi), where coeffs(lo) < 0 iff
     neg_lo; refined again to float resolution if it misses the residual
-    bound |q(r)| <= abs_tol + rel_tol*S(r)."""
+    bound |q(r)| <= 1e-12*S(r)."""
     root = _bracketed_root(coeffs, lo, hi, neg_lo)
-    if abs(_eval_list(coeffs, root)) > abs_tol + rel_tol * _abs_eval_list(coeffs, root):
+    if abs(_eval_list(coeffs, root)) > _RESIDUAL_EPS * _abs_eval_list(coeffs, root):
         root = _bracketed_root(coeffs, lo, hi, neg_lo, 0.0)
     return root
 
@@ -186,12 +185,12 @@ def _tangent_point(slope: list[float], lo: float, hi: float) -> float:
 def _tangency(coeffs: list[float], slope: list[float], lo: float, hi: float) -> float | None:
     """The tangent crossing r* in [lo, hi], if |q(r*)| <= 1e-12*S(r*)."""
     r = _tangent_point(slope, lo, hi)
-    if abs(_eval_list(coeffs, r)) <= _TANGENT_EPS * _abs_eval_list(coeffs, r):
+    if abs(_eval_list(coeffs, r)) <= _RESIDUAL_EPS * _abs_eval_list(coeffs, r):
         return r
     return None
 
 
-def _isolate(coeffs: list[float], abs_tol: float, rel_tol: float) -> list[tuple[float, bool]]:
+def _isolate(coeffs: list[float]) -> list[tuple[float, bool]]:
     """(root, flagged) pairs, ascending, of coeffs with V >= 2 sign changes.
 
     A node is (q, count, a, level) on (lo, hi) = (a, a + 1) * 2^(K - level):
@@ -211,7 +210,7 @@ def _isolate(coeffs: list[float], abs_tol: float, rel_tol: float) -> list[tuple[
         lo = math.ldexp(a, K - level)
         hi = math.ldexp(a + 1, K - level)
         if count == 1:
-            found.append((_refine(coeffs, lo, hi, q[0] < 0, abs_tol, rel_tol), False))
+            found.append((_refine(coeffs, lo, hi, q[0] < 0), False))
             continue
         if (a + 1) * REFINE_WIDTH_FACTOR >= 1.0:
             # roots closer than the narrowest node: report one, flagged
@@ -294,7 +293,7 @@ def _bracketed_root(c: list[float], lo: float, hi: float, neg_lo: bool,
         x = cand
 
 
-def positive_roots(q: UniPoly, abs_tol: float = 1e-12, rel_tol: float = 1e-12) -> RootList:
+def positive_roots(q: UniPoly) -> RootList:
     """All distinct roots of q in (0, inf), sorted ascending.
 
     The count comes from Descartes' rule of signs throughout (t^m
@@ -303,12 +302,12 @@ def positive_roots(q: UniPoly, abs_tol: float = 1e-12, rel_tol: float = 1e-12) -
     Cauchy bound B.  For V >= 2, exact Descartes bisection on the integer
     coefficients isolates every root.  Every count is certified.
 
-    Every returned root r satisfies |q(r)| <= abs_tol + rel_tol * S(r)
-    with S(r) = sum_k |c_k| r^k.  Only V >= 2 can flag a root: an exact
-    midpoint root of multiplicity >= 2, a tangent crossing that rounding
-    split into two close roots or a complex pair, or roots closer than the
-    narrowest bisection node, each reported once.  Degree-0 input with a
-    nonzero constant yields an empty list.
+    Every returned root r satisfies |q(r)| <= 1e-12 * S(r) with
+    S(r) = sum_k |c_k| r^k, a bound that scaling q does not change.  Only
+    V >= 2 can flag a root: an exact midpoint root of multiplicity >= 2, a
+    tangent crossing that rounding split into two close roots or a complex
+    pair, or roots closer than the narrowest bisection node, each reported
+    once.  Degree-0 input with a nonzero constant yields an empty list.
     """
     if q.is_zero():
         raise ZeroPolynomialError("root isolation of the zero polynomial")
@@ -322,7 +321,7 @@ def positive_roots(q: UniPoly, abs_tol: float = 1e-12, rel_tol: float = 1e-12) -
     if variations == 0:
         return RootList((), ())
     if variations > 1:
-        found = _isolate(coeffs, abs_tol, rel_tol)
+        found = _isolate(coeffs)
         return RootList(tuple(r for r, _ in found), tuple(flag for _, flag in found))
     neg_lo = coeffs[0] < 0.0
     bound = 1.0 + max(abs(c) for c in coeffs[:-1]) / abs(coeffs[-1])
@@ -333,4 +332,4 @@ def positive_roots(q: UniPoly, abs_tol: float = 1e-12, rel_tol: float = 1e-12) -
     # at 2B the leading term is over half of S(2B), so the float sign there
     # is exact
     hi = bound if (fhi < 0.0) != neg_lo else 2.0 * bound
-    return RootList((_refine(coeffs, 0.0, hi, neg_lo, abs_tol, rel_tol),), (False,))
+    return RootList((_refine(coeffs, 0.0, hi, neg_lo),), (False,))

@@ -109,16 +109,15 @@ def geometric_roots(rng, count: int, lo: float = 0.1, hi: float = 10.0,
     return roots
 
 
-def meets_residual_bound(coeffs, t: float, abs_tol: float, rel_tol: float) -> bool:
-    """|q(t)| <= abs_tol + rel_tol * S(t) with S(t) = sum |c_k| t^k for
-    q = sum c_k t^k, decided exactly in rational arithmetic on the float
-    inputs."""
+def meets_residual_bound(coeffs, t: float, rel: float = 1e-12) -> bool:
+    """|q(t)| <= rel * S(t) with S(t) = sum |c_k| t^k for q = sum c_k t^k,
+    decided exactly in rational arithmetic on the float inputs."""
     t = Fraction(t)
     value = scale = Fraction(0)
     for c in reversed(coeffs):
         value = value * t + Fraction(c)
         scale = scale * abs(t) + abs(Fraction(c))
-    return abs(value) <= Fraction(abs_tol) + Fraction(rel_tol) * scale
+    return abs(value) <= Fraction(rel) * scale
 
 
 def _float_bits(x: float) -> int:

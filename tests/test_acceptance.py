@@ -130,10 +130,10 @@ def test_c05_exponential_decay_reproduction():
 def test_c06_invariance_margin():
     P = parse(DISK_TEXT, 2)
     L = HomogenizedLyapunov(P)
-    stable = check_invariance(P, linear([[-1.0, 0.0], [0.0, -1.0]]), L, 4096)
+    stable = check_invariance(L, linear([[-1.0, 0.0], [0.0, -1.0]]), 4096)
     want = -2.0 * (4.0 - 2.0 * math.sqrt(2.0))
     gap = abs(stable.worst_margin - want)
-    unstable = check_invariance(P, linear([[1.0, 0.0], [0.0, 1.0]]), L, 4096)
+    unstable = check_invariance(L, linear([[1.0, 0.0], [0.0, 1.0]]), 4096)
     ok = stable.passed and gap <= 1e-6 and (not unstable.passed) and unstable.worst_margin > 0.0
     report(6, "invariance margin matches the boundary parametrization",
            ok, f"worst {stable.worst_margin!r} vs {want!r}, flipped worst {unstable.worst_margin:.3f}")

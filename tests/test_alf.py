@@ -18,7 +18,7 @@ from algly.errors import (
 from algly.polycore import MultiPoly, parse
 
 from conftest import ANNULUS_TEXT, DISK_TEXT, HYPERBOLA_TEXT
-from oracles import tau_closed_form, ulps_apart
+from oracles import same_bits, tau_closed_form, ulps_apart
 
 
 def test_construction_disk(disk_L):
@@ -197,6 +197,17 @@ def test_tau_dot_degenerate_gradient(contraction):
     L = HomogenizedLyapunov(parse("-1*(x1^2 + x2^2 - 1)^2", 2))
     with pytest.raises(DegenerateGradientError):
         L.tau_dot(contraction, (2.0, 0.0))
+
+
+@pytest.mark.parametrize("x", [(1.0, 0.5), (-3.0, 2.0), (0.25, -4.0)])
+def test_tau_dot_does_not_depend_on_the_scale_of_P(contraction, x):
+    # scaling P by a power of two scales every coefficient exactly, so the
+    # rate keeps its bits; the degenerate-gradient test is relative to the
+    # gradient's own scale, so it does not refuse the small scales
+    want = HomogenizedLyapunov(parse(DISK_TEXT, 2)).tau_dot(contraction, x)
+    for k in range(-40, 41):
+        L = HomogenizedLyapunov(parse(DISK_TEXT, 2).scale(2.0 ** k))
+        assert same_bits(L.tau_dot(contraction, x), want), k
 
 
 def test_tau_dot_past_the_float_range_raises(disk_L):

@@ -1,11 +1,19 @@
+import copy
 import importlib.util
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algly import cli
 
@@ -365,6 +373,9 @@ _WRONG_SHAPE_U1 = {"U1": "1", "U2": "1", "gram_U1": {"basis": [[0, 0]], "Q": [[1
     pytest.param("verify", _REPEATED_NEG_G, id="verify-multiplier-repeated-basis"),
     pytest.param("cert", _WRONG_SHAPE_U1, id="cert-multiplier-Q-wrong-shape"),
     pytest.param("verify", _WRONG_SHAPE_U1, id="verify-multiplier-Q-wrong-shape"),
+    pytest.param("cert", {"basis": [[math.inf, 0]], "Q": [[1]], "target": "x1^2"},
+                 id="cert-gram-basis-infinite"),
+    pytest.param("cert", {"basis": [[1, 0]], "Q": [[math.nan]], "target": "x1^2"}, id="cert-gram-Q-nan"),
 ])
 def test_malformed_certificate_is_usage_error(tmp_path, capsys, monkeypatch, command, cert):
     # the certificate of `cert` is its own file; that of `verify` is the
@@ -399,6 +410,10 @@ def test_missing_field_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("overrides, argv", [
     pytest.param({"nvars": "two"}, ["tau", "--x", "1", "0"], id="nvars-string"),
+    pytest.param({"nvars": 10 ** 400, "P": "-1 + x1^2 + x2^2"}, ["tau", "--x", "1", "0"], id="nvars-huge"),
+    pytest.param({"field": 5}, ["tau", "--x", "1", "0"], id="field-number"),
+    pytest.param({"field": {"matrix": 5}}, ["tau", "--x", "1", "0"], id="matrix-number"),
+    pytest.param({"field": {"components": "-x1"}}, ["verify"], id="components-text"),
     pytest.param({"P": 5}, ["tau", "--x", "1", "0"], id="P-number"),
     pytest.param({"x0": ["1", "zero"]}, ["simulate"], id="x0-strings"),
     pytest.param({"x0": [math.nan, 0]}, ["simulate"], id="x0-nan"),
@@ -430,6 +445,13 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, overrides, argv):
     pytest.param({}, ["contour", "--levels", "1", "inf"], "--levels", id="contour-levels-inf"),
     pytest.param({"levels": []}, ["contour"], "options.levels", id="contour-options-levels-empty"),
     pytest.param({"levels": ["1"]}, ["contour"], "options.levels", id="contour-options-levels-string"),
+    # every option the file gives is checked at load, whatever the subcommand
+    pytest.param({"h": 0}, ["tau", "--x", "1", "0"], "options.h", id="tau-options-h-zero"),
+    pytest.param({"h": 0}, ["decompose"], "options.h", id="decompose-options-h-zero"),
+    pytest.param({"T": -1}, ["contour"], "options.T", id="contour-options-T-negative"),
+    pytest.param({"levels": []}, ["verify"], "options.levels", id="verify-options-levels-empty"),
+    pytest.param({"n_theta": 10 ** 7}, ["tau", "--x", "1", "0"], "options.n_theta",
+                 id="tau-options-n_theta-past-the-cap"),
     # T/h past the step budget is refused before any step runs
     pytest.param({}, ["simulate", "--h", "1e-300", "--T", "1"], "--T / --h", id="simulate-h-tiny"),
     pytest.param({}, ["simulate", "--h", "1e-7", "--T", "1000"], "--T / --h", id="simulate-steps-1e10"),
@@ -491,3 +513,136 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["tau"] == pytest.approx(1.0, abs=1e-12)
+
+
+# -- fuzzing the files the CLI reads ----------------------------------------
+
+_FUZZ_PROBLEM = {
+    "nvars": 2,
+    "P": DISK_TEXT,
+    "field": {"matrix": [[-1, 0], [0, -1]]},
+    "x0": [1, 0],
+    "multiplier": {"U1": "1", "U2": "1",
+                   "gram_negG": {"basis": [[1, 0], [0, 1], [0, 0]],
+                                 "Q": [[1, 0, 0], [0, 1, 0], [0, 0, 2]]}},
+    "options": {"seed": 3, "ray_samples": 16, "n_dirs": 16, "n_theta": 8,
+                "levels": [0.5, 1], "h": 0.01, "T": 0.05},
+}
+_FUZZ_CERTS = (
+    {"basis": [[1, 0], [0, 1], [0, 0]], "Q": [[1, 0, 0], [0, 1, 0], [0, 0, 2]],
+     "target": "x1^2 + x2^2 + 2"},
+    _FUZZ_PROBLEM["multiplier"],
+)
+_FUZZ_COMMANDS = (["decompose"], ["tau", "--x", "0.5", "-0.5"], ["verify"], ["contour"],
+                  ["simulate"], ["cert"])
+# strings, huge numbers, lists, dicts, negatives and literals that overflow;
+# no value here is a count, step or horizon that asks for a long run
+_JUNK = st.one_of(
+    st.sampled_from([
+        "", "x1", "-x2", "x1^2+x2^2-1", "1e309", "1e309*x1^2+x2^2-1", "1e200*x1^2*1e200",
+        "x1^", "(x1", "x3", ANNULUS_TEXT, HYPERBOLA_TEXT, "x1^2+x2^2+1", "x1^3*x2", "0", "-1",
+        None, True, False, 0, 1, 3, -1, -7, 0.0, -0.5, 10 ** 400,
+        -10 ** 400, 2 ** 63, 1e308, -1e308, math.inf, -math.inf, math.nan, [], {}, [1, "a"],
+        [[1e309, 0], [0, 1]], [["a", 0], [0, -1]], [1.0, 2.0, 3.0], {"matrix": 5},
+        {"components": ["x1", 5]}, {"a": 1}, [[0, 0]], [[1]],
+    ]),
+    st.text(max_size=6),
+)
+
+
+def _paths(node, prefix=()):
+    """Every path to a value inside a JSON document, the root excluded."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def _mutated(draw, document):
+    """A deep copy of `document` with 1-3 values replaced by junk or deleted."""
+    document = json.loads(json.dumps(document))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(document))
+        if not paths:
+            break
+        *parents, key = draw(st.sampled_from(paths))
+        owner = document
+        for step in parents:
+            owner = owner[step]
+        if isinstance(owner, dict) and draw(st.booleans()):
+            del owner[key]
+        else:
+            owner[key] = copy.deepcopy(draw(_JUNK))
+    return document
+
+
+@st.composite
+def _fuzz_case(draw):
+    command = draw(st.sampled_from(_FUZZ_COMMANDS))
+    cert = draw(st.sampled_from(_FUZZ_CERTS))
+    if command[0] == "cert" and draw(st.booleans()):
+        return command, _FUZZ_PROBLEM, draw(_mutated(cert))
+    return command, draw(_mutated(_FUZZ_PROBLEM)), cert
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fuzz_case())
+def test_fuzzed_files_get_an_exit_code_and_a_report(fuzz_dir, case):
+    command, problem, cert = case
+    (fuzz_dir / "problem.json").write_text(json.dumps(problem))
+    (fuzz_dir / "cert.json").write_text(json.dumps(cert))
+    argv = [*command, "--problem", str(fuzz_dir / "problem.json")]
+    if command[0] == "cert":
+        argv += ["--cert", str(fuzz_dir / "cert.json")]
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.perf_counter()
+    with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
+        os.environ.pop("ALGLY_SEED", None)
+        code = cli.main(argv)
+    assert time.perf_counter() - t0 < 10.0
+    assert code in range(6)
+    if code == cli.EXIT_DIMENSION:
+        assert command[0] == "contour" and err.getvalue() == "contour emission is 2D-only\n"
+    elif code != cli.EXIT_OK:
+        payload = json.loads(out.getvalue())
+        # a failed check prints its report; every other failure an error
+        failed_check = code == cli.EXIT_CHECK_FAILED and payload.get("passed") is False
+        assert failed_check or "error" in payload, payload
+
+
+_OVERFLOWING_P = ["1e309*x1^2+x2^2-1", "1e200*x1^2*1e200+x2^2-1"]
+
+
+@pytest.mark.parametrize("command, overrides, cert", [
+    pytest.param("verify", {"field": {"components": [1, "-x2"]}}, None, id="component-not-text"),
+    pytest.param("verify", {"multiplier": {"U1": 5, "U2": "1"}}, None, id="multiplier-U1-not-text"),
+    pytest.param("cert", {}, {"basis": [[0, 0]], "Q": [[1]], "target": 5}, id="gram-target-not-text"),
+    pytest.param("cert", {"field": {"matrix": [[1e308, 0], [0, -1]]}}, {"U1": "1", "U2": "1"},
+                 id="multiplier-combination-overflows"),
+    *(pytest.param(command, {"P": text}, None, id=f"{command}-{text}")
+      for text in _OVERFLOWING_P for command in ("tau", "verify", "contour", "simulate")),
+    pytest.param("verify", {"field": {"matrix": [["a", 0], [0, -1]]}}, None, id="matrix-string-entry"),
+    pytest.param("verify", {"field": {"matrix": [[-1e309, 0], [0, -1]]}}, None, id="matrix-infinite-entry"),
+])
+def test_outside_input_is_a_json_error_not_a_traceback(tmp_path, capsys, command, overrides, cert):
+    problem = write_problem(tmp_path, **overrides)
+    argv = ["--x", "1", "0"] if command == "tau" else []
+    if cert is not None:
+        (tmp_path / "cert.json").write_text(json.dumps(cert))
+        argv = ["--cert", str(tmp_path / "cert.json")]
+    code, out = run_cli(capsys, command, "--problem", problem, *argv)
+    assert code == 2
+    assert json.loads(out)["error"] in ("parse", "usage")
+
+
+def test_verify_does_not_depend_on_the_scale_of_P(tmp_path, capsys):
+    # at 1e-12 the boundary gradient is far below 1 in absolute terms
+    problem = write_problem(tmp_path, P=f"1e-12*({DISK_TEXT})")
+    code, out = run_cli(capsys, "verify", "--problem", problem)
+    assert code == 0, out

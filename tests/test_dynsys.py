@@ -126,7 +126,7 @@ def test_rk4_fourth_order(contraction):
 
 
 def test_invariance_disk(disk_poly, disk_L, contraction):
-    report = check_invariance(disk_poly, contraction, disk_L, 4096)
+    report = check_invariance(disk_L, contraction, 4096)
     assert report.passed
     want = -2.0 * (4.0 - 2.0 * math.sqrt(2.0))
     assert abs(report.worst_margin - want) <= 1e-6
@@ -134,7 +134,7 @@ def test_invariance_disk(disk_poly, disk_L, contraction):
 
 
 def test_invariance_unstable_field(disk_poly, disk_L, expansion):
-    report = check_invariance(disk_poly, expansion, disk_L, 512)
+    report = check_invariance(disk_L, expansion, 512)
     assert not report.passed
     assert report.worst_margin > 0.0
 
@@ -143,13 +143,13 @@ def test_invariance_rotation_zero_margin():
     P = parse("x1^2 + x2^2 - 1", 2)
     L = HomogenizedLyapunov(P)
     f = linear([[0.0, -1.0], [1.0, 0.0]])
-    report = check_invariance(P, f, L, 256)
+    report = check_invariance(L, f, 256)
     assert not report.passed          # strict inequality fails
     assert report.worst_margin == 0.0
 
 
 def test_invariance_boundary_points_lie_on_level_set(disk_poly, disk_L, contraction):
-    report = check_invariance(disk_poly, contraction, disk_L, 64)
+    report = check_invariance(disk_L, contraction, 64)
     assert abs(disk_poly.eval(report.worst_witness)) <= 1e-9
     for d in sample_directions(2, 64, disk_L.seed):
         t = disk_L.tau(d)
@@ -157,17 +157,11 @@ def test_invariance_boundary_points_lie_on_level_set(disk_poly, disk_L, contract
         assert abs(disk_poly.eval(y)) <= 1e-9
 
 
-def test_invariance_reuses_the_gradient_of_L(disk_poly, contraction, disk_L, monkeypatch):
-    expected = check_invariance(disk_poly, contraction, disk_L, 64)
+def test_invariance_reuses_the_gradient_of_L(contraction, disk_L, monkeypatch):
+    expected = check_invariance(disk_L, contraction, 64)
     monkeypatch.setattr(MultiPoly, "gradient", lambda self: pytest.fail("gradient rebuilt"))
-    report = check_invariance(disk_poly, contraction, disk_L, 64)
+    report = check_invariance(disk_L, contraction, 64)
     assert report.worst_margin == expected.worst_margin
-
-
-def test_invariance_mismatched_L(disk_poly, contraction):
-    other = HomogenizedLyapunov(parse("x1^2 + x2^2 - 1", 2))
-    with pytest.raises(ValueError):
-        check_invariance(disk_poly, contraction, other, 16)
 
 
 def test_decrease_disk(disk_L, contraction):

@@ -59,6 +59,14 @@ def test_parse_unary_minus_binds_inside_base():
     ("x1^-2", ExponentError, 3),
     ("x1^2.5", ExponentError, 3),
     ("x1^2e1", ExponentError, 3),
+    # coefficients past the float range, at the literal or the operator
+    ("1e309*x1^2 + x2^2 - 1", ParseError, 0),
+    ("1e200*x1^2*1e200 + x2^2 - 1", ParseError, 10),
+    ("x1^2 - 1e308 - 1e308", ParseError, 13),
+    ("(1e200*x1)^2", ParseError, 10),
+    # text that is not a str
+    (5, ParseError, 0),
+    (["x1"], ParseError, 0),
 ])
 def test_parse_errors_with_offsets(text, exc, offset):
     with pytest.raises(exc) as err:
@@ -102,7 +110,7 @@ def test_eval_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         parse("x1", 2).eval((1.0,))
     with pytest.raises(DimensionMismatchError):
-        parse("x1", 2).eval_and_scale((1.0, 2.0, 3.0))
+        parse("x1", 2).eval((1.0, 2.0, 3.0))
 
 
 @st.composite
@@ -123,12 +131,13 @@ def _poly_and_point(draw):
 @given(_poly_and_point())
 def test_eval_matches_the_term_map_walk_bit_for_bit(case):
     P, x = case
-    value, scale = P.eval_and_scale(x)
+    (value,), (scale,) = PolyFamily((P,)).eval_and_scale(x)
     assert same_bits(P.eval(x), eval_terms(P, x))
     assert same_bits(value, eval_terms(P, x))
     assert same_bits(scale, abs_eval(P, x))
-    for g in P.gradient():
-        assert same_bits(g.eval_and_scale(x)[1], abs_eval(g, x))
+    gradient = P.gradient()
+    for g, g_scale in zip(gradient, PolyFamily(gradient).eval_and_scale(x)[1]):
+        assert same_bits(g_scale, abs_eval(g, x))
 
 
 @pytest.mark.parametrize("text, x", [
@@ -142,7 +151,7 @@ def test_eval_matches_the_term_map_walk_bit_for_bit(case):
 def test_zero_factor_gives_a_zero_term_in_any_order(text, x):
     P = parse(text + " + 1", len(x))
     assert P.eval(x) == 1.0
-    assert P.eval_and_scale(x) == (1.0, 1.0)
+    assert PolyFamily((P,)).eval_and_scale(x) == ((1.0,), (1.0,))
 
 
 # coordinates at the edges of the float range, negative bases and Python ints
@@ -172,8 +181,7 @@ def _assert_family_matches_references(polys, x):
     for P, value, scale in zip(polys, values, scales):
         assert same_bits(value, eval_terms(P, x)), (P, x)
         assert same_bits(scale, scale_terms(P, x)), (P, x)
-        single = P.eval_and_scale(x)
-        assert same_bits(single[0], value) and same_bits(single[1], scale)
+        assert same_bits(P.eval(x), value)
 
 
 @settings(max_examples=300, deadline=None)
@@ -215,7 +223,7 @@ def test_evaluated_polynomials_pickle():
     family = PolyFamily([P, Q])
     x = (0.5, -2.0)
     P.eval(x)
-    family.eval_and_scale(x)   # both now hold a compiled closure
+    family.eval_and_scale(x)   # the family now holds a compiled closure
     assert pickle.loads(pickle.dumps(P)) == P
     assert pickle.loads(pickle.dumps(family)).eval_and_scale(x) == family.eval_and_scale(x)
 
@@ -242,7 +250,7 @@ def test_family_compiles_at_the_parser_budget(text, nvars, points):
 
 def test_overflowing_term_keeps_its_sign():
     assert parse("x1^3*x2 + 1", 2).eval((-1e200, 2.0)) == -math.inf
-    assert parse("x1^2*x2", 2).eval_and_scale((-1e200, 2.0)) == (math.inf, math.inf)
+    assert PolyFamily([parse("x1^2*x2", 2)]).eval_and_scale((-1e200, 2.0)) == ((math.inf,), (math.inf,))
 
 
 def test_gradient_disk():

@@ -96,14 +96,13 @@ def test_planted_roots_recovered():
 
 def test_residual_bound_property():
     rng = np.random.default_rng(77)
-    abs_tol, rel_tol = 1e-12, 1e-12
     for _ in range(100):
         deg = int(rng.integers(1, 7))
         planted = geometric_roots(rng, deg)
         coeffs = expand_from_roots(planted)
-        rl = positive_roots(UniPoly(coeffs), abs_tol, rel_tol)
+        rl = positive_roots(UniPoly(coeffs))
         for r in rl.roots:
-            assert meets_residual_bound(coeffs, r, abs_tol, rel_tol)
+            assert meets_residual_bound(coeffs, r)
 
 
 def test_negative_roots_ignored():
@@ -188,10 +187,9 @@ def _signed_coefficients(draw, changes: int):
 # leaves a root that misses the residual bound
 @example([0.0196, 3e-8, 0.0, -5.4e7, -0.0198, 0.0, -5.2e7, -4.3, -5.2e-5])
 def test_one_sign_change_gives_one_root_within_tolerance(coeffs):
-    abs_tol, rel_tol = 1e-12, 1e-12
-    rl = positive_roots(UniPoly(coeffs), abs_tol, rel_tol)
+    rl = positive_roots(UniPoly(coeffs))
     assert len(rl) == 1 and rl.suspected_multiple == (False,)
-    assert meets_residual_bound(coeffs, rl.roots[0], abs_tol, rel_tol)
+    assert meets_residual_bound(coeffs, rl.roots[0])
 
 
 @settings(max_examples=300, deadline=None)
@@ -208,7 +206,7 @@ def test_one_sign_change_root_matches_exact_bisection(coeffs):
     r = rl.roots[0]
     a, b = exact_sign_root(coeffs)
     near = min(ulps_apart(r, a), ulps_apart(r, b)) <= 4
-    assert near or meets_residual_bound(coeffs, r, 0.0, 8 * len(coeffs) * 2.0 ** -52)
+    assert near or meets_residual_bound(coeffs, r, 8 * len(coeffs) * 2.0 ** -52)
 
 
 def _count_calls(monkeypatch, name):
@@ -298,4 +296,4 @@ def test_several_sign_changes_count_matches_exact_sturm(coeffs):
     exact = exact_positive_root_count(coeffs)
     assert abs(len(rl) - exact) <= sum(rl.suspected_multiple)
     for r in rl.roots:
-        assert meets_residual_bound(coeffs, r, 1e-12, 1e-12)
+        assert meets_residual_bound(coeffs, r)
