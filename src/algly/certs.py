@@ -45,6 +45,9 @@ class GramCertificate:
         import numpy as np
 
         basis = tuple(tuple(int(k) for k in e) for e in self.basis)
+        for e, given in zip(basis, self.basis):
+            if list(e) != list(given):
+                raise ValueError(f"basis exponents must be integers, got {list(given)}")
         object.__setattr__(self, "basis", basis)
         if len(set(basis)) != len(basis):
             raise ValueError("basis entries must be distinct")

@@ -38,6 +38,7 @@ from .alf import HomogenizedLyapunov
 from .errors import (
     AlglyError,
     CertificateError,
+    MixedDegreesError,
     MultiplePositiveRootsError,
     NoPositiveRootError,
     OriginNotInteriorError,
@@ -134,18 +135,21 @@ def _settings(args, options: dict, *keys: str) -> dict:
 def _field_from_json(entry, nvars: int) -> dynsys.PolyVectorField:
     if not isinstance(entry, dict):
         raise UsageError("field must be a JSON object")
-    if "matrix" in entry:
-        rows = entry["matrix"]
-        if not (isinstance(rows, list) and len(rows) == nvars
-                and all(isinstance(row, list) and len(row) == nvars
-                        and all(_is_finite(a) for a in row) for row in rows)):
-            raise UsageError(f"field matrix must be {nvars} rows of {nvars} finite numbers")
-        return dynsys.linear(rows)
-    if "components" in entry:
-        texts = entry["components"]
-        if not (isinstance(texts, list) and len(texts) == nvars):
-            raise UsageError("field needs exactly nvars components")
-        return dynsys.PolyVectorField(tuple(parse(text, nvars) for text in texts))
+    try:
+        if "matrix" in entry:
+            rows = entry["matrix"]
+            if not (isinstance(rows, list) and len(rows) == nvars
+                    and all(isinstance(row, list) and len(row) == nvars
+                            and all(_is_finite(a) for a in row) for row in rows)):
+                raise UsageError(f"field matrix must be {nvars} rows of {nvars} finite numbers")
+            return dynsys.linear(rows)
+        if "components" in entry:
+            texts = entry["components"]
+            if not (isinstance(texts, list) and len(texts) == nvars):
+                raise UsageError("field needs exactly nvars components")
+            return dynsys.PolyVectorField(tuple(parse(text, nvars) for text in texts))
+    except MixedDegreesError as exc:
+        raise UsageError(f"field: {exc}") from exc
     raise UsageError("field must have either 'matrix' or 'components'")
 
 

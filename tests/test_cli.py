@@ -428,6 +428,36 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, overrides, argv):
     assert json.loads(out)["error"] == "usage"
 
 
+@pytest.mark.parametrize("components", [
+    pytest.param(["x1", "x2^2"], id="mixed-degrees"),
+    pytest.param(["1", "x2"], id="degree-0"),
+])
+@pytest.mark.parametrize("argv", [
+    pytest.param(["tau", "--x", "1", "0"], id="tau"),
+    pytest.param(["verify"], id="verify"),
+])
+def test_field_that_is_not_homogeneous_is_usage_error(tmp_path, capsys, components, argv):
+    # a malformed field is a usage error (exit 2), not a failed check
+    # (exit 1), even for tau, which never reads the field
+    problem = write_problem(tmp_path, field={"components": components})
+    code, out = run_cli(capsys, argv[0], "--problem", problem, *argv[1:])
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error"] == "usage" and payload["message"].startswith("field: ")
+
+
+def test_gram_basis_exponent_that_is_not_an_integer_is_usage_error(tmp_path, capsys):
+    # 1.5 was truncated to 1, and x1^2 + x2^2 then passed with Q = I
+    problem = write_problem(tmp_path)
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"basis": [[1.5, 0], [0, 1]], "Q": [[1, 0], [0, 1]],
+                                "target": "x1^2 + x2^2"}))
+    code, out = run_cli(capsys, "cert", "--problem", problem, "--cert", str(cert))
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error"] == "usage" and "integers" in payload["message"]
+
+
 @pytest.mark.parametrize("options, argv, source", [
     pytest.param({}, ["verify", "--n-dirs", "0"], "--n-dirs", id="verify-n-dirs-zero"),
     pytest.param({}, ["verify", "--h", "0"], "--h", id="verify-h-zero"),

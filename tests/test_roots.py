@@ -1,14 +1,16 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from algly import roots
-from algly.errors import ZeroPolynomialError
+from algly import HomogenizedLyapunov, parse, roots
+from algly.errors import MultiplePositiveRootsError, ZeroPolynomialError
 from algly.roots import UniPoly, positive_roots
 
+from conftest import ANNULUS_TEXT
 from oracles import (
     exact_positive_root_count,
     exact_sign_root,
@@ -297,3 +299,90 @@ def test_several_sign_changes_count_matches_exact_sturm(coeffs):
     assert abs(len(rl) - exact) <= sum(rl.suspected_multiple)
     for r in rl.roots:
         assert meets_residual_bound(coeffs, r)
+
+
+def _isolated(coeffs):
+    """(roots, flags) of the exact Descartes bisection alone, for coeffs
+    with a nonzero constant term."""
+    K, _, _ = roots._newton_polygon(coeffs)
+    found = roots._isolate(coeffs, K)
+    return tuple(r for r, _ in found), tuple(flag for _, flag in found)
+
+
+def _isolate_spy():
+    """A patch that counts the calls of the exact Descartes bisection."""
+    return mock.patch.object(roots, "_isolate", wraps=roots._isolate)
+
+
+@st.composite
+def _separated_roots(draw):
+    """2 to 4 positive roots from 1e-3 up, each 4 to 100 times the one
+    before, and a coefficient scale 10^-8..10^8."""
+    r = 10.0 ** draw(st.floats(-3.0, 1.0))
+    planted = [r]
+    for _ in range(draw(st.integers(1, 3))):
+        r *= draw(st.floats(4.0, 100.0))
+        planted.append(r)
+    return planted, 10.0 ** draw(st.floats(-8.0, 8.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_separated_roots())
+# 4 is 5 ulps from the bisection's root, inside the rounding band of q
+@example(([1.0, 4.0, 16.0, 80.0], 1.049349664500834e-07))
+def test_separated_roots_are_certified_by_sign_alternation(drawn):
+    # Well-separated real roots: float signs between them alternate V
+    # times and certify the count, with no exact bisection
+    planted, scale = drawn
+    coeffs = [scale * c for c in expand_from_roots(planted)]
+    want, _ = _isolated(coeffs)
+    with _isolate_spy() as spy:
+        rl = positive_roots(UniPoly(coeffs))
+    assert spy.call_count == 0
+    assert len(rl) == len(planted) == exact_positive_root_count(coeffs)
+    assert rl.suspected_multiple == (False,) * len(planted)
+    for got, ref in zip(rl.roots, want):
+        # a few ulps, or within the band where rounding hides the sign of q
+        band = 4 * len(coeffs) * 2.0 ** -53 * sum(abs(c) * ref ** k for k, c in enumerate(coeffs))
+        slope = abs(sum(k * c * ref ** (k - 1) for k, c in enumerate(coeffs) if k))
+        assert ulps_apart(got, ref) <= 4 or abs(got - ref) <= band / slope
+
+
+@settings(max_examples=200, deadline=None)
+@given(_separated_roots(), st.floats(0.0, 1.0), st.floats(0.05, 0.3), st.booleans())
+# rounding splits the double root near 42.94 into two real roots 1.1e-6
+# apart, which exact bisection reports unflagged
+@example(([1.0, 42.8125, 171.25, 7363.75], 100.0), 0.36264311409065303, 0.25, True)
+def test_complex_pair_or_double_root_reaches_exact_bisection(drawn, where, angle, double):
+    # A complex pair rho*exp(+-i*angle) near the positive axis, or a double
+    # root, adds two sign changes that no simple crossing apart from the
+    # others accounts for: the certificate cannot close, and _isolate
+    # answers with its own flags
+    planted, scale = drawn
+    extra = planted[0] * (planted[-1] / planted[0]) ** where * 1.7
+    pair = [extra * extra, -2.0 * extra * (1.0 if double else math.cos(angle)), 1.0]
+    coeffs = [0.0] * (len(planted) + 3)
+    for i, a in enumerate(expand_from_roots(planted)):
+        for j, b in enumerate(pair):
+            coeffs[i + j] += scale * a * b
+    want = _isolated(coeffs)
+    with _isolate_spy() as spy:
+        rl = positive_roots(UniPoly(coeffs))
+    assert spy.call_count == 1
+    assert (rl.roots, rl.suspected_multiple) == want
+    # a flagged root may stand for a double root that rounding split
+    assert abs(len(rl) - exact_positive_root_count(coeffs)) <= sum(rl.suspected_multiple)
+
+
+def test_annulus_ray_takes_the_sign_alternation_path():
+    # every annulus ray meets both circles: the tau ray of (0.3, 0.4)
+    # crosses at |x| = 0.5 and |x| / 2 = 0.25, and the star ray at 1 and 2
+    L = HomogenizedLyapunov(parse(ANNULUS_TEXT, 2))
+    with _isolate_spy() as spy:
+        with pytest.raises(MultiplePositiveRootsError) as exc:
+            L.tau((0.3, 0.4))
+        report = L.check_star_convex()
+    assert spy.call_count == 0
+    assert exc.value.roots == pytest.approx((0.25, 0.5), rel=1e-15)
+    assert not report.passed and report.failures[0].roots == (1.0, 2.0)
+    assert not report.failures[0].suspected_tangency
