@@ -21,7 +21,6 @@ from .certs import (
     MultiplierCertificate,
     expand_quadratic_form,
     gram_euler_identity,
-    jacobi_eigenvalues,
     verify_gram,
     verify_multiplier,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "gram_euler_identity",
     "homogeneous_parts",
     "homogenize",
-    "jacobi_eigenvalues",
     "linear",
     "parse",
     "positive_roots",

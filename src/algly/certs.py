@@ -2,53 +2,53 @@
 
 This module checks certificates supplied by the user; it never searches
 for them.  A Gram certificate claims s(x) = z^T Q z for a monomial
-vector z and a positive semidefinite Q; verification is two independent
-checks (symbolic coefficient identity, then Jacobi eigenvalues of Q).
-A multiplier certificate claims U1 * grad(P).f + U2 * P < 0 with
-U1 >= 0; verification is dense sampling, optionally backed by Gram
-certificates for U1 and the negated combination for a sampling-free
-conclusion.
+vector z and a positive semidefinite Q; its floats are dyadic rationals,
+so verify_gram decides it exactly.  A multiplier certificate claims
+U1 * grad(P).f + U2 * P < 0 with U1 >= 0; verification is dense
+sampling, optionally backed by Gram certificates for U1 and the negated
+combination for a sampling-free conclusion.
 
-numpy is imported inside the functions that do linear algebra or seeded
-sampling, so importing this module does not load it.
+numpy is imported only for the seeded sampling of multiplier
+certificates, and fractions only to check a Gram certificate, so
+importing this module loads neither.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from sys import float_info
+from typing import Sequence
 
 from .dynsys import PolyVectorField, VerificationReport
 from .errors import CertificateError, DimensionMismatchError
 from .polycore import Exponents, MultiPoly, PolyFamily
 
-if TYPE_CHECKING:
-    import numpy as np
-
-COEFF_TOL = 1e-10        # per-coefficient tolerance in the identity check
 SYMMETRY_TOL = 1e-12     # allowed asymmetry of Q, relative to its largest entry
-JACOBI_OFF_TOL = 1e-12   # off-diagonal Frobenius norm target, relative
-_JACOBI_MAX_SWEEPS = 64
 _MISMATCH_CAP = 16
+
+Matrix = Sequence[Sequence[float]]
 
 
 @dataclass(frozen=True)
 class GramCertificate:
-    """Monomial basis z, symmetric matrix Q, and the claimed target s = z^T Q z."""
+    """Monomial basis z, symmetric matrix Q, stored as given as float rows,
+    and the claimed target s = z^T Q z."""
 
     basis: tuple[Exponents, ...]
-    Q: np.ndarray
+    Q: Matrix
     target: MultiPoly
 
     def __post_init__(self):
-        import numpy as np
+        from numbers import Real
 
         basis = tuple(tuple(int(k) for k in e) for e in self.basis)
         for e, given in zip(basis, self.basis):
             if list(e) != list(given):
                 raise ValueError(f"basis exponents must be integers, got {list(given)}")
         object.__setattr__(self, "basis", basis)
+        if not basis:
+            raise ValueError("basis must not be empty")
         if len(set(basis)) != len(basis):
             raise ValueError("basis entries must be distinct")
         for e in basis:
@@ -57,19 +57,16 @@ class GramCertificate:
                     f"basis entry {e} has length {len(e)}, expected {self.target.nvars}")
             if any(k < 0 for k in e):
                 raise ValueError(f"basis exponents must be non-negative, got {e}")
-        Q = np.asarray(self.Q, dtype=float)
-        if not np.isfinite(Q).all():
-            raise ValueError("Q entries must be finite")
         m = len(basis)
-        if Q.shape != (m, m):
-            raise DimensionMismatchError(f"Q has shape {Q.shape}, expected ({m}, {m})")
-        scale = max(float(np.max(np.abs(Q))), 1.0)
-        if float(np.max(np.abs(Q - Q.T))) > SYMMETRY_TOL * scale:
+        Q = tuple(tuple(float(v) if isinstance(v, Real) else math.nan for v in row) for row in self.Q)
+        if len(Q) != m or any(len(row) != m for row in Q):
+            raise DimensionMismatchError(f"Q is not a {m} x {m} matrix")
+        if not all(math.isfinite(v) for row in Q for v in row):
+            raise ValueError("Q entries must be finite numbers")
+        scale = max(1.0, max(abs(v) for row in Q for v in row))
+        if any(abs(Q[i][j] - Q[j][i]) > SYMMETRY_TOL * scale for i in range(m) for j in range(i)):
             raise ValueError("Q is not symmetric within tolerance")
-        # store bitwise-symmetric entries so downstream identities are exact
-        Qs = 0.5 * (Q + Q.T)
-        Qs.flags.writeable = False
-        object.__setattr__(self, "Q", Qs)
+        object.__setattr__(self, "Q", Q)
 
 
 def build_gram(basis, Q, target: MultiPoly, what: str = "Gram certificate") -> GramCertificate:
@@ -91,29 +88,27 @@ class MultiplierCertificate:
 
     U1: MultiPoly
     U2: MultiPoly
-    gram_U1: tuple[tuple[Exponents, ...], np.ndarray] | None = None
-    gram_negG: tuple[tuple[Exponents, ...], np.ndarray] | None = None
+    gram_U1: tuple[tuple[Exponents, ...], Matrix] | None = None
+    gram_negG: tuple[tuple[Exponents, ...], Matrix] | None = None
 
 
 @dataclass
 class GramReport:
     passed: bool
-    coeff_ok: bool
-    psd_ok: bool
-    marginal: bool
-    eigenvalues: tuple[float, ...]
-    max_coeff_error: float
-    psd_tol: float
+    coeff_ok: bool                # every target monomial is some e_i + e_j
+    psd_ok: bool                  # the projected Q is positive semidefinite
+    psd_failed_at: int | None     # the basis index where the PSD test failed
+    max_coeff_error: float        # of z^T Q z against the target, Q as supplied
     mismatches: list = field(default_factory=list)
 
 
-def expand_quadratic_form(basis: Sequence[Exponents], M: np.ndarray, nvars: int) -> MultiPoly:
-    """The polynomial sum_ij M[i,j] x^(e_i + e_j)."""
+def expand_quadratic_form(basis: Sequence[Exponents], M: Matrix, nvars: int) -> MultiPoly:
+    """The polynomial sum_ij M[i][j] x^(e_i + e_j)."""
     out: dict[Exponents, float] = {}
     m = len(basis)
     for i in range(m):
         for j in range(m):
-            c = float(M[i, j])
+            c = float(M[i][j])
             if c == 0.0:
                 continue
             e = tuple(a + b for a, b in zip(basis[i], basis[j]))
@@ -121,76 +116,81 @@ def expand_quadratic_form(basis: Sequence[Exponents], M: np.ndarray, nvars: int)
     return MultiPoly(nvars, out)
 
 
-def jacobi_eigenvalues(A: np.ndarray) -> tuple[float, ...]:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
+def _to_float(x) -> float:
+    return float(x) if abs(x) <= float_info.max else math.inf if x > 0 else -math.inf
 
-    Sweeps run until the off-diagonal Frobenius norm falls below
-    JACOBI_OFF_TOL relative to the matrix's Frobenius norm.  Returns the
-    eigenvalues sorted ascending.
-    """
-    import numpy as np
 
-    A = np.array(A, dtype=float)
-    n = A.shape[0]
-    if n == 1:
-        return (float(A[0, 0]),)
-    norm = float(np.linalg.norm(A))
-    target = JACOBI_OFF_TOL * max(norm, 1e-300)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = math.sqrt(sum(2.0 * A[p, q] ** 2 for p in range(n) for q in range(p + 1, n)))
-        if off <= target:
-            break
-        for p in range(n):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                A = rot.T @ A @ rot
-                A = 0.5 * (A + A.T)  # kill asymmetry drift
-    return tuple(sorted(float(v) for v in np.diag(A)))
+def _psd_failure(A: list[list[int]]) -> int | None:
+    """The index where symmetric fraction-free (Bareiss) elimination of the
+    upper triangle of A shows A not to be positive semidefinite, or None.
+    Each entry stays a positive multiple of its Schur complement entry: a
+    negative pivot, or a zero pivot whose row is not zero, fails, and a
+    zero pivot with a zero row is dropped."""
+    m = len(A)
+    prev = 1
+    for k in range(m):
+        row = A[k]
+        p = row[k]
+        if p < 0 or (p == 0 and any(row[k + 1:])):
+            return k
+        if p == 0:
+            continue
+        for i in range(k + 1, m):
+            a = row[i]
+            A[i][i:] = [(p * x - a * y) // prev for x, y in zip(A[i][i:], row[i:])]
+        prev = p
+    return None
 
 
 def verify_gram(cert: GramCertificate) -> GramReport:
-    """Check the coefficient identity and positive semidefiniteness of Q.
+    """Decide the certificate exactly, in Fraction arithmetic.
 
-    Both checks are required.  The PSD tolerance psd_tol is 1e-9 times
-    the largest |Q| entry; a smallest eigenvalue within +-psd_tol of zero
-    is reported as marginal instead of silently flipping the verdict.
+    With S = (Q + Q^T)/2, the index pairs (i, j) are grouped by the
+    monomial e_i + e_j.  Adding r_a / n_a to each of the n_a entries of
+    group a, r_a = target_a - sum S_ij, projects S orthogonally onto
+    {z^T S z = target} (Peyrl and Parrilo, TCS 2008).  The certificate
+    passes when every target monomial has a group and the projection,
+    scaled to integers, is positive semidefinite.  max_coeff_error and
+    mismatches report the residuals of the Q that was supplied.
     """
-    psd_tol = 1e-9 * max(float(abs(cert.Q).max()), 1e-300)
-    expanded = expand_quadratic_form(cert.basis, cert.Q, cert.target.nvars)
+    from fractions import Fraction
+
+    basis, Q, target = cert.basis, cert.Q, cert.target.terms
+    m = len(basis)
+    groups: dict[Exponents, list[tuple[int, int]]] = {}
+    for i in range(m):
+        for j in range(i, m):
+            e = tuple(a + b for a, b in zip(basis[i], basis[j]))
+            groups.setdefault(e, []).append((i, j))
+    S = [[Fraction(0)] * m for _ in range(m)]
     mismatches = []
-    max_err = 0.0
-    for e in sorted(set(expanded.terms) | set(cert.target.terms)):
-        err = abs(expanded.terms.get(e, 0.0) - cert.target.terms.get(e, 0.0))
-        if err > max_err:
-            max_err = err
-        if err > COEFF_TOL and len(mismatches) < _MISMATCH_CAP:
-            mismatches.append({
-                "exponents": e,
-                "expanded": expanded.terms.get(e, 0.0),
-                "target": cert.target.terms.get(e, 0.0),
-            })
-    coeff_ok = max_err <= COEFF_TOL
-    eigenvalues = jacobi_eigenvalues(cert.Q)
-    min_eig = eigenvalues[0]
-    psd_ok = min_eig >= -psd_tol
+    max_err = Fraction(0)
+    for e in sorted(set(groups) | set(target)):
+        pairs = groups.get(e, ())
+        expanded = Fraction(0)
+        for i, j in pairs:
+            S[i][j] = (Fraction(Q[i][j]) + Fraction(Q[j][i])) / 2
+            expanded += 2 * S[i][j] if i != j else S[i][j]
+        r = Fraction(target.get(e, 0.0)) - expanded
+        if not r:
+            continue
+        max_err = max(max_err, abs(r))
+        if len(mismatches) < _MISMATCH_CAP:
+            mismatches.append({"exponents": e, "expanded": _to_float(expanded),
+                               "target": target.get(e, 0.0)})
+        if pairs:
+            step = r / sum(1 if i == j else 2 for i, j in pairs)
+            for i, j in pairs:
+                S[i][j] += step
+    den = math.lcm(*(x.denominator for row in S for x in row))
+    failed_at = _psd_failure([[x.numerator * (den // x.denominator) for x in row] for row in S])
+    coeff_ok = set(target) <= set(groups)
     return GramReport(
-        passed=coeff_ok and psd_ok,
+        passed=coeff_ok and failed_at is None,
         coeff_ok=coeff_ok,
-        psd_ok=psd_ok,
-        marginal=abs(min_eig) <= psd_tol,
-        eigenvalues=eigenvalues,
-        max_coeff_error=max_err,
-        psd_tol=psd_tol,
+        psd_ok=failed_at is None,
+        psd_failed_at=failed_at,
+        max_coeff_error=_to_float(max_err),
         mismatches=mismatches,
     )
 
@@ -204,15 +204,13 @@ def gram_euler_identity(cert: GramCertificate) -> MultiPoly:
     structural self-check of the degree bookkeeping.  Basis entries of
     degree 0 break the factor-2 form and are rejected.
     """
-    import numpy as np
-
     degrees = [sum(e) for e in cert.basis]
     if any(d == 0 for d in degrees):
         raise ValueError("constant monomial in basis: the scaled identity requires degree >= 1")
     nvars = cert.target.nvars
     s = expand_quadratic_form(cert.basis, cert.Q, nvars)
     euler = MultiPoly(nvars, {e: c * sum(e) for e, c in s.terms.items()})
-    TQ = np.diag(degrees).astype(float) @ cert.Q
+    TQ = [[d * q for q in row] for d, row in zip(degrees, cert.Q)]
     scaled = expand_quadratic_form(cert.basis, TQ, nvars)
     return euler - scaled.scale(2.0)
 

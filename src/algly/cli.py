@@ -381,7 +381,7 @@ def _multiplier_from_json(data: dict, nvars: int) -> certs.MultiplierCertificate
         raise UsageError("a multiplier certificate needs 'U1' and 'U2'")
 
     def gram_data(key):
-        # GramCertificate normalizes the basis and converts Q to an array
+        # GramCertificate normalizes the basis and converts Q to float rows
         entry = data.get(key)
         if entry is None:
             return None
@@ -470,10 +470,8 @@ def cmd_cert(args) -> int:
             "passed": report.passed,
             "coeff_ok": report.coeff_ok,
             "psd_ok": report.psd_ok,
-            "marginal": report.marginal,
-            "eigenvalues": list(report.eigenvalues),
+            "psd_failed_at": report.psd_failed_at,
             "max_coeff_error": report.max_coeff_error,
-            "psd_tol": report.psd_tol,
         }
         if report.mismatches:
             payload["mismatches"] = [

@@ -268,6 +268,8 @@ def check_decrease(
             if inc >= slack:
                 passed = False
         for k in range(1, len(taus) - 1):
+            if not any(traj.states[k]):
+                continue  # tau_dot is undefined at the origin, an equilibrium
             dt = traj.times[k + 1] - traj.times[k - 1]
             fd = (taus[k + 1] - taus[k - 1]) / dt
             td = L.tau_dot(f, traj.states[k])

@@ -120,14 +120,6 @@ def _eval_list(c: list[float], t: float) -> float:
     return acc
 
 
-def _abs_eval_list(c: list[float], t: float) -> float:
-    s = abs(t)
-    acc = 0.0
-    for k in range(len(c) - 1, -1, -1):
-        acc = acc * s + abs(c[k])
-    return acc
-
-
 def _value_and_scale(c: list[float], t: float) -> tuple[float, float]:
     """c(t) and S(t) = sum_k |c_k| t^k, t >= 0, in one Horner pass."""
     f = s = 0.0
@@ -236,14 +228,17 @@ def _start_interval(coeffs: list[float], K: int) -> tuple[int, list[int]]:
         K += 1
 
 
-def _refine(coeffs: list[float], lo: float, hi: float, neg_lo: bool) -> float:
-    """The one simple root of coeffs in (lo, hi), where coeffs(lo) < 0 iff
-    neg_lo; refined again to float resolution if it misses the residual
-    bound |q(r)| <= 1e-12*S(r)."""
-    root = _bracketed_root(coeffs, lo, hi, neg_lo)
-    if abs(_eval_list(coeffs, root)) > _RESIDUAL_EPS * _abs_eval_list(coeffs, root):
-        root = _bracketed_root(coeffs, lo, hi, neg_lo, 0.0)
-    return root
+def _refine(coeffs: list[float], lo: float, hi: float, neg_lo: bool,
+            x: float | None = None) -> tuple[float, float]:
+    """The one simple root r of coeffs in (lo, hi), where coeffs(lo) < 0 iff
+    neg_lo, from x (the midpoint by default), and coeffs(r); refined again
+    to float resolution if it misses the residual bound |q(r)| <= 1e-12*S(r)."""
+    root = _bracketed_root(coeffs, lo, hi, neg_lo, _STOP_ULPS, x)
+    f, s = _value_and_scale(coeffs, root)
+    if abs(f) > _RESIDUAL_EPS * s:
+        root = _bracketed_root(coeffs, lo, hi, neg_lo, 0.0, x)
+        f = _eval_list(coeffs, root)
+    return root, f
 
 
 def _tangent_point(slope: list[float], lo: float, hi: float) -> float:
@@ -260,7 +255,8 @@ def _tangent_point(slope: list[float], lo: float, hi: float) -> float:
 def _tangency(coeffs: list[float], slope: list[float], lo: float, hi: float) -> float | None:
     """The tangent crossing r* in [lo, hi], if |q(r*)| <= 1e-12*S(r*)."""
     r = _tangent_point(slope, lo, hi)
-    if abs(_eval_list(coeffs, r)) <= _RESIDUAL_EPS * _abs_eval_list(coeffs, r):
+    f, s = _value_and_scale(coeffs, r)
+    if abs(f) <= _RESIDUAL_EPS * s:
         return r
     return None
 
@@ -286,7 +282,7 @@ def _isolate(coeffs: list[float], K: int) -> list[tuple[float, bool]]:
         lo = math.ldexp(a, K - level)
         hi = math.ldexp(a + 1, K - level)
         if count == 1:
-            found.append((_refine(coeffs, lo, hi, q[0] < 0), False))
+            found.append((_refine(coeffs, lo, hi, q[0] < 0)[0], False))
             continue
         if (a + 1) * REFINE_WIDTH_FACTOR >= 1.0:
             # roots closer than the narrowest node: report one, flagged
@@ -384,11 +380,7 @@ def _alternating_roots(coeffs: list[float], variations: int, K: int, ks: list[in
         x = lo + (hi - lo) * (flo / (flo - fhi))  # regula falsi
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
-        r = _bracketed_root(coeffs, lo, hi, flo < 0.0, _STOP_ULPS, x)
-        f, s = _value_and_scale(coeffs, r)
-        if abs(f) > _RESIDUAL_EPS * s:  # the residual retry of _refine
-            r = _bracketed_root(coeffs, lo, hi, flo < 0.0, 0.0, x)
-            f = _eval_list(coeffs, r)
+        r, f = _refine(coeffs, lo, hi, flo < 0.0, x)
         if f == 0.0:
             # a float zero next to an exact root: end on the exact root
             r = next((t for t in (r, math.nextafter(r, 0.0), math.nextafter(r, math.inf))
@@ -488,4 +480,4 @@ def positive_roots(q: UniPoly) -> RootList:
     # at 2B the leading term is over half of S(2B), so the float sign there
     # is exact
     hi = bound if (fhi < 0.0) != neg_lo else 2.0 * bound
-    return RootList((_refine(coeffs, 0.0, hi, neg_lo),), (False,))
+    return RootList((_refine(coeffs, 0.0, hi, neg_lo)[0],), (False,))

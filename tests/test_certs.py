@@ -4,13 +4,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algly.certs import (
     GramCertificate,
     MultiplierCertificate,
     expand_quadratic_form,
     gram_euler_identity,
-    jacobi_eigenvalues,
     verify_gram,
     verify_multiplier,
 )
@@ -25,17 +26,38 @@ def test_gram_identity_passes():
     cert = GramCertificate(((1, 0), (0, 1)), np.eye(2), parse("x1^2 + x2^2", 2))
     report = verify_gram(cert)
     assert report.passed and report.coeff_ok and report.psd_ok
-    assert report.eigenvalues == (1.0, 1.0)
+    assert report.psd_failed_at is None
+    assert report.max_coeff_error == 0.0 and report.mismatches == []
 
 
 def test_gram_coefficient_mismatch():
+    # expansion gives x1^2 + 4*x1*x2 + x2^2, which projects to Q = I: the
+    # target x1^2 + x2^2 is a sum of squares over this basis, so it passes
     cert = GramCertificate(((1, 0), (0, 1)), np.array([[1.0, 2.0], [2.0, 1.0]]),
                            parse("x1^2 + x2^2", 2))
     report = verify_gram(cert)
-    assert not report.passed
-    assert not report.coeff_ok
-    # expansion gives x1^2 + 4*x1*x2 + x2^2
-    assert any(m["exponents"] == (1, 1) for m in report.mismatches)
+    assert report.passed and report.coeff_ok
+    assert report.mismatches == [{"exponents": (1, 1), "expanded": 4.0, "target": 0.0}]
+    assert report.max_coeff_error == 4.0
+    # x1^2 - x2^2 is no sum of squares over (x1, x2): Q = I projects to diag(1, -1)
+    cert = GramCertificate(((1, 0), (0, 1)), np.eye(2), parse("x1^2 - x2^2", 2))
+    report = verify_gram(cert)
+    assert not report.passed and report.coeff_ok
+    assert not report.psd_ok and report.psd_failed_at == 1
+    assert report.mismatches == [{"exponents": (0, 2), "expanded": 1.0, "target": -1.0}]
+    # the exact residual 2e308 of x1*x2 is past the float range: it reads as
+    # inf, and the projection still reaches Q = I
+    cert = GramCertificate(((1, 0), (0, 1)), [[1.0, 1e308], [1e308, 1.0]], parse("x1^2 + x2^2", 2))
+    report = verify_gram(cert)
+    assert report.passed and report.max_coeff_error == math.inf
+    assert report.mismatches == [{"exponents": (1, 1), "expanded": math.inf, "target": 0.0}]
+
+
+def test_gram_target_monomial_no_pair_produces_fails():
+    cert = GramCertificate(((1, 0), (0, 1)), np.eye(2), parse("x1^2 + x2^2 + x1", 2))
+    report = verify_gram(cert)
+    assert not report.passed and not report.coeff_ok and report.psd_ok
+    assert report.mismatches == [{"exponents": (1, 0), "expanded": 0.0, "target": 1.0}]
 
 
 def test_gram_indefinite_swap_matrix():
@@ -44,15 +66,32 @@ def test_gram_indefinite_swap_matrix():
     report = verify_gram(cert)
     assert report.coeff_ok
     assert not report.psd_ok and not report.passed
-    assert abs(report.eigenvalues[0] + 1.0) <= 1e-10
-    assert abs(report.eigenvalues[1] - 1.0) <= 1e-10
+    # the zero pivot at index 0 has a nonzero row
+    assert report.psd_failed_at == 0
 
 
-def test_gram_marginal_flag():
+def test_gram_singular_psd_passes():
     cert = GramCertificate(((1, 0), (0, 1)), np.diag([1.0, 0.0]), parse("x1^2", 2))
     report = verify_gram(cert)
-    assert report.passed
-    assert report.marginal
+    assert report.passed and report.psd_failed_at is None
+    # rank 1: the second row is a multiple of the first
+    cert = GramCertificate(((1, 0), (0, 1)), [[1.0, 2.0], [2.0, 4.0]], parse("(x1 + 2*x2)^2", 2))
+    assert verify_gram(cert).passed
+
+
+@pytest.mark.parametrize("basis, Q, target", [
+    pytest.param(((0, 0),), [[0.0]], "-5e-11", id="constant-under-the-old-identity-tolerance"),
+    pytest.param(((1, 0), (0, 1)), [[1.0, 0.0], [0.0, -1e-10]], "x1^2 - 1e-10*x2^2",
+                 id="eigenvalue-in-the-old-marginal-band"),
+    pytest.param(((1, 0), (0, 1)), [[1e-6, 0.0], [0.0, -1e-16]], "1e-6*x1^2 - 1e-16*x2^2",
+                 id="rescaled-twin"),
+])
+def test_gram_certificates_of_non_sos_targets_fail(basis, Q, target):
+    # each passed when the identity and the smallest eigenvalue had float
+    # tolerances; none of these targets is a sum of squares
+    report = verify_gram(GramCertificate(basis, Q, parse(target, 2)))
+    assert not report.passed and report.coeff_ok and not report.psd_ok
+    assert report.psd_failed_at == len(basis) - 1
 
 
 def test_gram_rejects_bad_inputs():
@@ -78,23 +117,37 @@ def test_expand_quadratic_form_matches_numeric():
         assert abs(s.eval(tuple(x)) - want) <= 1e-9 * max(1.0, abs(want))
 
 
-def test_jacobi_matches_hand_cases():
-    # [[2,1],[1,2]] has eigenvalues 1 and 3
-    assert np.allclose(jacobi_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]])), (1.0, 3.0), atol=1e-10)
-    # circulant [[2,1,1],[1,2,1],[1,1,2]]: eigenvalues 1, 1, 4
-    eigs = jacobi_eigenvalues(np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]))
-    assert np.allclose(eigs, (1.0, 1.0, 4.0), atol=1e-10)
+_MONOMIALS = [e for e in itertools.product(range(4), repeat=2) if sum(e) <= 3]
 
 
-def test_jacobi_against_numpy_oracle():
-    rng = np.random.default_rng(41)
-    for n in (2, 3, 5, 8):
-        for _ in range(10):
-            A = rng.standard_normal((n, n))
-            A = 0.5 * (A + A.T)
-            got = np.array(jacobi_eigenvalues(A))
-            want = np.linalg.eigvalsh(A)
-            assert np.allclose(got, want, atol=1e-9)
+@st.composite
+def _ldl_certificates(draw):
+    """(basis, Q = L D L^T, D) with L unit lower-triangular and integer."""
+    m = draw(st.integers(1, 6))
+    basis = tuple(draw(st.permutations(_MONOMIALS))[:m])
+    D = draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m))
+    L = [[1 if i == j else draw(st.integers(-3, 3)) if j < i else 0 for j in range(m)]
+         for i in range(m)]
+    Q = [[sum(L[i][k] * D[k] * L[j][k] for k in range(m)) for j in range(m)] for i in range(m)]
+    return basis, Q, D
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ldl_certificates(), st.integers(-200, 200))
+def test_gram_verdict_is_the_inertia_of_the_ldl_factors(case, k):
+    # Q is congruent to D (Sylvester's law of inertia), so it is PSD exactly
+    # when min D >= 0; the target is Q's exact expansion, so the projection
+    # moves nothing, and scaling Q and the target by 2^k changes no bit
+    basis, Q, D = case
+    Q = [[float(v) for v in row] for row in Q]
+    target = expand_quadratic_form(basis, Q, 2)
+    report = verify_gram(GramCertificate(basis, Q, target))
+    assert report.passed == (min(D) >= 0)
+    assert report.coeff_ok and report.max_coeff_error == 0.0
+    scaled = [[math.ldexp(v, k) for v in row] for row in Q]
+    scaled_report = verify_gram(GramCertificate(basis, scaled, target.scale(2.0 ** k)))
+    assert scaled_report.passed == report.passed
+    assert scaled_report.psd_failed_at == report.psd_failed_at
 
 
 def test_euler_identity_unit_cases():
@@ -171,14 +224,24 @@ def test_multiplier_negative_u1_fails(disk_poly, contraction):
 
 
 def test_multiplier_bad_gram_fails(disk_poly, contraction):
+    # -G = x1^2 + x2^2 + 2: a basis without the constant cannot produce the 2
     cert = MultiplierCertificate(
         U1=parse("1", 2),
         U2=parse("1", 2),
-        gram_negG=(((1, 0), (0, 1), (0, 0)), np.diag([1.0, 1.0, 1.0])),  # wrong constant
+        gram_negG=(((1, 0), (0, 1)), np.eye(2)),
     )
     report = verify_multiplier(disk_poly, contraction, cert, seed=5)
     assert not report.passed
     assert not report.notes["gram_negG_passed"]
+    # a wrong constant in Q projects to diag(1, 1, 2): -G is a sum of squares
+    # over (x1, x2, 1), so the certificate is sound
+    cert = MultiplierCertificate(
+        U1=parse("1", 2),
+        U2=parse("1", 2),
+        gram_negG=(((1, 0), (0, 1), (0, 0)), np.diag([1.0, 1.0, 1.0])),
+    )
+    report = verify_multiplier(disk_poly, contraction, cert, seed=5)
+    assert report.passed and report.notes["gram_negG_passed"]
 
 
 def test_multiplier_skips_structural_zero_at_origin():

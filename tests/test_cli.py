@@ -339,6 +339,25 @@ def test_cert_command_gram(tmp_path, capsys):
     assert not json.loads(out)["passed"]
 
 
+@pytest.mark.parametrize("cert", [
+    pytest.param({"basis": [[0, 0]], "Q": [[0]], "target": "-5e-11"},
+                 id="constant-under-the-old-identity-tolerance"),
+    pytest.param({"basis": [[1, 0], [0, 1]], "Q": [[1, 0], [0, -1e-10]], "target": "x1^2 - 1e-10*x2^2"},
+                 id="eigenvalue-in-the-old-marginal-band"),
+    pytest.param({"basis": [[1, 0], [0, 1]], "Q": [[1e-6, 0], [0, -1e-16]],
+                  "target": "1e-6*x1^2 - 1e-16*x2^2"}, id="rescaled-twin"),
+])
+def test_cert_command_fails_gram_certificates_of_non_sos_targets(tmp_path, capsys, cert):
+    problem = write_problem(tmp_path)
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps(cert))
+    code, out = run_cli(capsys, "cert", "--problem", problem, "--cert", str(path))
+    assert code == 1
+    payload = json.loads(out)
+    assert not payload["passed"] and payload["coeff_ok"] and not payload["psd_ok"]
+    assert payload["psd_failed_at"] == len(cert["basis"]) - 1
+
+
 def test_cert_command_multiplier(tmp_path, capsys):
     problem = write_problem(tmp_path)
     cert = tmp_path / "mult.json"
@@ -376,6 +395,10 @@ _WRONG_SHAPE_U1 = {"U1": "1", "U2": "1", "gram_U1": {"basis": [[0, 0]], "Q": [[1
     pytest.param("cert", {"basis": [[math.inf, 0]], "Q": [[1]], "target": "x1^2"},
                  id="cert-gram-basis-infinite"),
     pytest.param("cert", {"basis": [[1, 0]], "Q": [[math.nan]], "target": "x1^2"}, id="cert-gram-Q-nan"),
+    pytest.param("cert", {"basis": [[1, 0]], "Q": [["1"]], "target": "x1^2"}, id="cert-gram-Q-string"),
+    pytest.param("cert", {"basis": [[1, 0], [0, 1]], "Q": [[1, 0], [0]], "target": "x1^2"},
+                 id="cert-gram-Q-ragged"),
+    pytest.param("cert", {"basis": [], "Q": [], "target": "x1^2"}, id="cert-gram-basis-empty"),
 ])
 def test_malformed_certificate_is_usage_error(tmp_path, capsys, monkeypatch, command, cert):
     # the certificate of `cert` is its own file; that of `verify` is the
@@ -516,11 +539,16 @@ def test_import_loads_every_traced_module_but_not_numpy():
 
 def test_two_dimensional_commands_run_without_numpy(tmp_path):
     disk = str(ROOT / "problems" / "disk.json")
+    gram = tmp_path / "gram.json"
+    gram.write_text(json.dumps({"basis": [[1, 0], [0, 1], [0, 0]],
+                                "Q": [[1, 0, 0], [0, 1, 0], [0, 0, 2]],
+                                "target": "x1^2 + x2^2 + 2"}))
     runs = [
         ["decompose"],
         ["tau", "--x", "1", "1"],
         ["contour", "--n-theta", "32"],
         ["simulate", "--T", "0.05"],
+        ["cert", "--cert", str(gram)],
     ]
     argvs = [[cmd, "--problem", disk, "--out", str(tmp_path / f"{cmd}.out"), *rest]
              for cmd, *rest in runs]
@@ -676,3 +704,13 @@ def test_verify_does_not_depend_on_the_scale_of_P(tmp_path, capsys):
     problem = write_problem(tmp_path, P=f"1e-12*({DISK_TEXT})")
     code, out = run_cli(capsys, "verify", "--problem", problem)
     assert code == 0, out
+
+
+def test_verify_from_the_origin_fails_decrease_without_a_traceback(tmp_path, capsys):
+    # the origin is an equilibrium: tau stays 0 there, so it does not
+    # decrease, and tau_dot, undefined there, is not evaluated
+    problem = write_problem(tmp_path, x0=[0, 0], options={"h": 0.01, "T": 0.05})
+    code, out = run_cli(capsys, "verify", "--problem", problem)
+    assert code == 1
+    decrease = json.loads(out)["checks"]["decrease"]
+    assert not decrease["passed"] and decrease["worst_margin"] == 0.0
