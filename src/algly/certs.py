@@ -142,8 +142,9 @@ def _psd_failure(A: list[list[int]]) -> int | None:
     return None
 
 
-def verify_gram(cert: GramCertificate) -> GramReport:
-    """Decide the certificate exactly, in Fraction arithmetic.
+def verify_gram(cert: GramCertificate, target=None) -> GramReport:
+    """Decide the certificate exactly, in Fraction arithmetic, against
+    `target` (exponents -> exact coefficient), by default cert.target.
 
     With S = (Q + Q^T)/2, the index pairs (i, j) are grouped by the
     monomial e_i + e_j.  Adding r_a / n_a to each of the n_a entries of
@@ -155,7 +156,9 @@ def verify_gram(cert: GramCertificate) -> GramReport:
     """
     from fractions import Fraction
 
-    basis, Q, target = cert.basis, cert.Q, cert.target.terms
+    basis, Q = cert.basis, cert.Q
+    if target is None:
+        target = cert.target.terms
     m = len(basis)
     groups: dict[Exponents, list[tuple[int, int]]] = {}
     for i in range(m):
@@ -171,13 +174,13 @@ def verify_gram(cert: GramCertificate) -> GramReport:
         for i, j in pairs:
             S[i][j] = (Fraction(Q[i][j]) + Fraction(Q[j][i])) / 2
             expanded += 2 * S[i][j] if i != j else S[i][j]
-        r = Fraction(target.get(e, 0.0)) - expanded
+        r = Fraction(target.get(e, 0)) - expanded
         if not r:
             continue
         max_err = max(max_err, abs(r))
         if len(mismatches) < _MISMATCH_CAP:
             mismatches.append({"exponents": e, "expanded": _to_float(expanded),
-                               "target": target.get(e, 0.0)})
+                               "target": _to_float(target.get(e, 0))})
         if pairs:
             step = r / sum(1 if i == j else 2 for i, j in pairs)
             for i, j in pairs:
@@ -215,6 +218,31 @@ def gram_euler_identity(cert: GramCertificate) -> MultiPoly:
     return euler - scaled.scale(2.0)
 
 
+def _negated_combination(P: MultiPoly, f: PolyVectorField, cert: MultiplierCertificate) -> dict:
+    """The coefficients of -(U1 * grad(P).f + U2 * P), exact in Fraction
+    from the float coefficients of P, f, U1 and U2."""
+    from fractions import Fraction
+
+    def exact(poly: MultiPoly) -> dict:
+        return {e: Fraction(c) for e, c in poly.terms.items()}
+
+    def add_product(out: dict, a: dict, b: dict, sign: int) -> None:
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                out[e] = out.get(e, 0) + sign * ca * cb
+
+    P_exact = exact(P)
+    lie: dict = {}
+    for i, comp in enumerate(f.components):
+        dP = {e[:i] + (e[i] - 1,) + e[i + 1:]: e[i] * c for e, c in P_exact.items() if e[i]}
+        add_product(lie, dP, exact(comp), 1)
+    out: dict = {}
+    add_product(out, exact(cert.U1), lie, -1)
+    add_product(out, exact(cert.U2), P_exact, -1)
+    return {e: c for e, c in out.items() if c}
+
+
 def default_grid(nvars: int) -> list[tuple[float, ...]]:
     """Uniform grid of 41 points per axis over [-5, 5]^nvars."""
     axis = [-5.0 + 10.0 * k / 40 for k in range(41)]
@@ -236,9 +264,11 @@ def verify_multiplier(
 
     Samples are the supplied grid (default: 41 points per axis over
     [-5, 5]^n for n <= 3) plus `n_random` seeded uniform points.  The
-    origin is excluded when G(0) = 0 structurally.  When Gram data for
-    U1 and -G is attached, those certificates are verified as well and
-    must pass, giving a sampling-free conclusion.
+    origin is excluded when G(0) = 0 structurally.  Attached Gram data
+    for U1 and -G is verified as well and must pass; -G is decided
+    exactly, as the combination of the float inputs.  A Gram certificate
+    for -G, with one for U1 or a constant U1 >= 0, gives a sampling-free
+    conclusion (`certified`).
     """
     if cert.U1.nvars != P.nvars or cert.U2.nvars != P.nvars:
         raise DimensionMismatchError("multipliers and P disagree on the number of variables")
@@ -299,11 +329,15 @@ def verify_multiplier(
 
     certified = None
     for key, gram in grams.items():
-        report = verify_gram(gram)
+        target = _negated_combination(P, f, cert) if key == "gram_negG" else None
+        report = verify_gram(gram, target)
         notes[f"{key}_passed"] = report.passed
         certified = report.passed if certified is None else (certified and report.passed)
     if certified is not None:
-        notes["certified"] = certified and len(grams) == 2
+        # a constant U1 >= 0 is its own certificate
+        u1_certified = "gram_U1" in grams or (
+            cert.U1.degree() <= 0 and cert.U1.coefficient((0,) * P.nvars) >= 0.0)
+        notes["certified"] = certified and "gram_negG" in grams and u1_certified
 
     passed = sampled_ok and (certified is None or certified)
     return VerificationReport(

@@ -56,6 +56,15 @@ A root from V = 1, from a count-1 node or from a sign bracket is simple
 by Descartes' rule and is never flagged.  Everything here is a pure
 function of the coefficient vector, so identical inputs give
 bitwise-identical outputs.
+
+The inner loops run as straight-line code.  Each Horner pass (q(t);
+q(t) with S(t); q(t) with q'(t)) and the integer Taylor shift by 1
+behind every Descartes count is generated per coefficient count n and
+compiled on first use: the loop unrolled, with the same operations in
+the same order down to its first step 0.0 * t + c_d, so every float
+result is the loop's bit for bit, signed zeros and non-finite t
+included.  Kernels stop at n = 33 (degree 32), since the shift unrolls
+to n(n-1)/2 statements; past that the loops themselves run.
 """
 
 from __future__ import annotations
@@ -129,6 +138,25 @@ def _value_and_scale(c: list[float], t: float) -> tuple[float, float]:
     return f, s
 
 
+def _value_and_slope(c: list[float], t: float) -> tuple[float, float]:
+    """c(t) and c'(t) in one Horner pass."""
+    f = df = 0.0
+    for k in range(len(c) - 1, -1, -1):
+        df = df * t + f
+        f = f * t + c[k]
+    return f, df
+
+
+def _shift1(c: list[int]) -> list[int]:
+    """Coefficients of c(x + 1)."""
+    c = list(c)
+    n = len(c) - 1
+    for i in range(n):
+        for k in range(n - 1, i - 1, -1):
+            c[k] += c[k + 1]
+    return c
+
+
 def _sign_changes(values) -> int:
     """Sign changes along a sequence of numbers; zeros are skipped."""
     count = 0
@@ -141,23 +169,61 @@ def _sign_changes(values) -> int:
     return count
 
 
+# -- straight-line kernels of the loops above --------------------------------
+
+# Kernels are generated only up to this many coefficients (degree 32): the
+# shift unrolls to n(n-1)/2 statements at about 10 us of compile time each
+# (6.6 ms at n = 33, 74 ms at n = 129), and the parser allows degree 1000.
+# Past the cap the loops above run.
+_KERNEL_MAX_N = 33
+
+
+class _Kernels(dict):
+    """n -> `loop` unrolled for n coefficients, compiled on first use from
+    the statements `body(n)`; `loop` itself past _KERNEL_MAX_N."""
+
+    def __init__(self, loop, params: str, body):
+        super().__init__()
+        self.loop, self.params, self.body = loop, params, body
+
+    def __missing__(self, n: int):
+        fn = self.loop
+        if 0 < n <= _KERNEL_MAX_N:
+            source = "\n    ".join([
+                f"def kernel({self.params}):",
+                f"{''.join(f'c{k}, ' for k in range(n))}= c",
+                *self.body(n),
+            ])
+            namespace: dict = {}
+            exec(compile(source, f"<roots {self.loop.__name__} n={n}>", "exec"), namespace)
+            fn = namespace["kernel"]
+        self[n] = fn
+        return fn
+
+
+def _horner(init: str, step: str, result: str):
+    """The statements of a Horner loop: `step` once per k = n - 1, ..., 0."""
+    return lambda n: [init, *(step.format(k=k) for k in range(n - 1, -1, -1)), f"return {result}"]
+
+
+_EVAL_LIST = _Kernels(_eval_list, "c, t", _horner("acc = 0.0", "acc = acc * t + c{k}", "acc"))
+_VALUE_AND_SCALE = _Kernels(_value_and_scale, "c, t", _horner(
+    "f = s = 0.0", "f = f * t + c{k}; s = s * t + abs(c{k})", "f, s"))
+_VALUE_AND_SLOPE = _Kernels(_value_and_slope, "c, t", _horner(
+    "f = df = 0.0", "df = df * t + f; f = f * t + c{k}", "f, df"))
+_SHIFT1 = _Kernels(_shift1, "c", lambda n: [
+    *(f"c{k} += c{k + 1}" for i in range(n - 1) for k in range(n - 2, i - 1, -1)),
+    f"return [{', '.join(f'c{k}' for k in range(n))}]",
+])
+
+
 # -- exact Descartes bisection on integer coefficients -------------------------
-
-def _shift1(c: list[int]) -> list[int]:
-    """Coefficients of c(x + 1)."""
-    c = list(c)
-    n = len(c) - 1
-    for i in range(n):
-        for k in range(n - 1, i - 1, -1):
-            c[k] += c[k + 1]
-    return c
-
 
 def _descartes_count(q: list[int]) -> int:
     """Sign changes of (x+1)^n q(1/(x+1)): an upper bound on the roots of q
     in (0, 1), counted with multiplicity, exact when it is 0 or 1, and of
     the same parity."""
-    return _sign_changes(_shift1(q[::-1]))
+    return _sign_changes(_SHIFT1[len(q)](q[::-1]))
 
 
 def _newton_polygon(coeffs: list[float]) -> tuple[int, list[int], list[float]]:
@@ -219,10 +285,11 @@ def _start_interval(coeffs: list[float], K: int) -> tuple[int, list[int]]:
     ratios = [c.as_integer_ratio() for c in coeffs]
     den = max(r[1] for r in ratios)  # powers of two: a multiple of every other one
     p = [n * (den // r) for n, r in ratios]
+    shift1 = _SHIFT1[d + 1]
     while True:
         low = min(0, K * d)
         q = [c << (K * k - low) for k, c in enumerate(p)]
-        tail = _shift1(q)
+        tail = shift1(q)
         if tail[0] and not _sign_changes(tail):
             return K, q
         K += 1
@@ -234,10 +301,10 @@ def _refine(coeffs: list[float], lo: float, hi: float, neg_lo: bool,
     neg_lo, from x (the midpoint by default), and coeffs(r); refined again
     to float resolution if it misses the residual bound |q(r)| <= 1e-12*S(r)."""
     root = _bracketed_root(coeffs, lo, hi, neg_lo, _STOP_ULPS, x)
-    f, s = _value_and_scale(coeffs, root)
+    f, s = _VALUE_AND_SCALE[len(coeffs)](coeffs, root)
     if abs(f) > _RESIDUAL_EPS * s:
         root = _bracketed_root(coeffs, lo, hi, neg_lo, 0.0, x)
-        f = _eval_list(coeffs, root)
+        f = _EVAL_LIST[len(coeffs)](coeffs, root)
     return root, f
 
 
@@ -245,8 +312,9 @@ def _tangent_point(slope: list[float], lo: float, hi: float) -> float:
     """The root of the derivative in [lo, hi] where its values at the ends
     differ in sign, and the midpoint otherwise.  `slope` is q' with its
     t^m factor removed, so that a zero q'(0) hides no sign change."""
-    dlo = _eval_list(slope, lo)
-    dhi = _eval_list(slope, hi)
+    eval_slope = _EVAL_LIST[len(slope)]
+    dlo = eval_slope(slope, lo)
+    dhi = eval_slope(slope, hi)
     if dlo != 0.0 and dhi != 0.0 and (dlo < 0.0) != (dhi < 0.0):
         return _bracketed_root(slope, lo, hi, dlo < 0.0)
     return 0.5 * (lo + hi)
@@ -255,7 +323,7 @@ def _tangent_point(slope: list[float], lo: float, hi: float) -> float:
 def _tangency(coeffs: list[float], slope: list[float], lo: float, hi: float) -> float | None:
     """The tangent crossing r* in [lo, hi], if |q(r*)| <= 1e-12*S(r*)."""
     r = _tangent_point(slope, lo, hi)
-    f, s = _value_and_scale(coeffs, r)
+    f, s = _VALUE_AND_SCALE[len(coeffs)](coeffs, r)
     if abs(f) <= _RESIDUAL_EPS * s:
         return r
     return None
@@ -290,7 +358,7 @@ def _isolate(coeffs: list[float], K: int) -> list[tuple[float, bool]]:
             continue
         n = len(q) - 1
         left = [c << (n - k) for k, c in enumerate(q)]
-        right = _shift1(left)
+        right = _SHIFT1[n + 1](left)
         on_mid = right[0] == 0
         if on_mid:
             m = 1  # the root's exact multiplicity
@@ -359,6 +427,7 @@ def _alternating_roots(coeffs: list[float], variations: int, K: int, ks: list[in
         exps.append(u)
     exps.reverse()
     gamma = 4 * (len(coeffs) - 1) * _UNIT_ROUNDOFF
+    value_and_scale = _VALUE_AND_SCALE[len(coeffs)]
     brackets = []
     lo, flo = 0.0, coeffs[0]
     for u in exps:
@@ -367,7 +436,7 @@ def _alternating_roots(coeffs: list[float], variations: int, K: int, ks: list[in
         t = 2.0 ** u
         if t <= lo:
             continue  # rounding put t out of order: the count needs ascending points
-        f, s = _value_and_scale(coeffs, t)
+        f, s = value_and_scale(coeffs, t)
         if not (_MIN_NORMAL <= s < math.inf and gamma * s < abs(f) < math.inf):
             continue
         if (f < 0.0) != (flo < 0.0):
@@ -389,15 +458,6 @@ def _alternating_roots(coeffs: list[float], variations: int, K: int, ks: list[in
     return found
 
 
-def _value_and_slope(c: list[float], t: float) -> tuple[float, float]:
-    """c(t) and c'(t) in one Horner pass."""
-    f = df = 0.0
-    for k in range(len(c) - 1, -1, -1):
-        df = df * t + f
-        f = f * t + c[k]
-    return f, df
-
-
 def _bracketed_root(c: list[float], lo: float, hi: float, neg_lo: bool,
                     stop: float = _STOP_ULPS, x: float | None = None) -> float:
     """The root of c in [lo, hi], where c changes sign (c(lo) < 0 iff neg_lo),
@@ -415,8 +475,9 @@ def _bracketed_root(c: list[float], lo: float, hi: float, neg_lo: bool,
     if x is None:
         x = 0.5 * (lo + hi)
     last = before = hi - lo  # the last step and the one before it
+    value_and_slope = _VALUE_AND_SLOPE[len(c)]
     while True:
-        f, df = _value_and_slope(c, x)
+        f, df = value_and_slope(c, x)
         if f == 0.0:
             return x
         if (f < 0.0) == neg_lo:
@@ -473,7 +534,7 @@ def positive_roots(q: UniPoly) -> RootList:
         return RootList(tuple(r for r, _ in found), tuple(flag for _, flag in found))
     neg_lo = coeffs[0] < 0.0
     bound = 1.0 + max(abs(c) for c in coeffs[:-1]) / abs(coeffs[-1])
-    fhi = _eval_list(coeffs, bound)
+    fhi = _EVAL_LIST[len(coeffs)](coeffs, bound)
     if fhi == 0.0:
         return RootList((bound,), (False,))
     # B has the sign of q(0) only when the root lies within rounding of it;

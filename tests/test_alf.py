@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from algly.alf import HomogenizedLyapunov, sample_directions
 from algly.dynsys import PolyVectorField, linear, rk4
@@ -294,3 +297,43 @@ def test_star_convex_quartic4d_at_seed_303():
     P = parse("(x1^2+x2^2+x3^2+x4^2)^2 + x1^3 - x2*x3*x4 + 0.5*x1*x2 - x3 - 1", 4)
     report = HomogenizedLyapunov(P, ray_samples=1024, seed=303).check_star_convex()
     assert report.passed and report.failures == ()
+
+
+# -- scaling P by a factor that is not a power of two ---------------------------
+
+SEXTIC_TEXT = "(x1^2+x2^2)^3 - x1^5 + x2^3*x1 - 1 + x1"
+_SCALE_POINTS = [(1.0, 0.0), (0.3, -0.4), (-2.0, 1.5), (1e-3, 2e-3), (-50.0, -70.0), (0.7, 0.7)]
+
+
+def _scale_outcomes(L):
+    """The star-convexity verdict, and tau or the crossings at each point."""
+    outcomes = []
+    for x in _SCALE_POINTS:
+        try:
+            outcomes.append((L.tau(x),))
+        except MultiplePositiveRootsError as exc:
+            outcomes.append(exc.roots)
+    return L.check_star_convex().passed, outcomes
+
+
+@functools.cache
+def _unscaled_outcomes(text):
+    return _scale_outcomes(HomogenizedLyapunov(parse(text, 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([DISK_TEXT, SEXTIC_TEXT, ANNULUS_TEXT]), st.floats(-8.0, 8.0))
+@example(SEXTIC_TEXT, -8.0)
+@example(ANNULUS_TEXT, 8.0)
+def test_scaling_P_by_mu_changes_no_verdict_and_keeps_tau(text, u):
+    # mu = 10^u, not a power of two: scaling rounds every coefficient, and
+    # the answers must not move past rounding
+    mu = 10.0 ** u
+    assume(math.frexp(mu)[0] != 0.5)
+    passed, outcomes = _unscaled_outcomes(text)
+    scaled_passed, scaled = _scale_outcomes(HomogenizedLyapunov(parse(text, 2).scale(mu)))
+    assert scaled_passed == passed
+    for want, got in zip(outcomes, scaled):
+        assert len(got) == len(want)
+        for a, b in zip(want, got):
+            assert abs(b - a) <= 1e-12 * a

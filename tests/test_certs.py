@@ -1,12 +1,14 @@
 import itertools
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algly import certs
 from algly.certs import (
     GramCertificate,
     MultiplierCertificate,
@@ -292,3 +294,61 @@ def test_multiplier_of_more_than_3000_terms():
         assert same_bits(family.eval_and_scale(x)[0][0], eval_terms(G, x))
     report = verify_multiplier(P, f, cert, grid=points, n_random=0)
     assert same_bits(report.worst_margin, max(eval_terms(G, x) for x in points))
+
+
+_CIRCLE_GRAM_U1 = (((1, 0), (0, 1), (0, 0)), np.eye(3))
+# -G = 2(x1^2 + x2^2)^2 + x1^2 + x2^2 + 1 for the circle below
+_CIRCLE_GRAM_NEG_G = (((2, 0), (0, 2), (1, 0), (0, 1), (0, 0)),
+                      [[2, 2, 0, 0, 0], [2, 2, 0, 0, 0], [0, 0, 1, 0, 0],
+                       [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
+
+
+@pytest.mark.parametrize("P, U1, gram_U1, gram_negG, certified", [
+    # disk: U1 = 1 is a constant >= 0 and needs no Gram block
+    ("(x1-1)^2 + (x2+1)^2 - 4", "1", None, (((1, 0), (0, 1), (0, 0)), np.diag([1.0, 1.0, 2.0])), True),
+    # -G = 3 x1^2 - 2 x1 + 3 x2^2 + 2 x2 + 2
+    ("(x1-1)^2 + (x2+1)^2 - 4", "2", None,
+     (((1, 0), (0, 1), (0, 0)), [[3, 0, -1], [0, 3, 1], [-1, 1, 2]]), True),
+    ("(x1-1)^2 + (x2+1)^2 - 4", "1", None, None, None),
+    # U1 = x1^2 + x2^2 + 1 is not constant: without its block, no certificate
+    ("x1^2 + x2^2 - 1", "x1^2 + x2^2 + 1", None, _CIRCLE_GRAM_NEG_G, False),
+    ("x1^2 + x2^2 - 1", "x1^2 + x2^2 + 1", _CIRCLE_GRAM_U1, _CIRCLE_GRAM_NEG_G, True),
+    ("x1^2 + x2^2 - 1", "x1^2 + x2^2 + 1", _CIRCLE_GRAM_U1, None, False),
+])
+def test_constant_u1_needs_no_gram_block(contraction, P, U1, gram_U1, gram_negG, certified):
+    cert = MultiplierCertificate(U1=parse(U1, 2), U2=parse("1", 2), gram_U1=gram_U1, gram_negG=gram_negG)
+    report = verify_multiplier(parse(P, 2), contraction, cert, n_random=100, seed=5)
+    assert report.passed
+    assert report.notes.get("certified") is certified
+
+
+def test_negated_combination_is_exact(contraction):
+    # G = -1.9 x1^2 - 1.9 x2^2 - 0.03 in floats; its constant is the float
+    # nearest 0.1 * 0.3, which misses the exact product of the dyadic
+    # inputs by about 1.7e-18
+    P = parse("x1^2 + x2^2 - 0.3", 2)
+    cert = MultiplierCertificate(U1=parse("1", 2), U2=parse("0.1", 2))
+    exact = certs._negated_combination(P, contraction, cert)
+    assert exact[(0, 0)] == Fraction(0.1) * Fraction(0.3)
+    assert exact[(0, 0)] != Fraction(0.1 * 0.3)
+    assert exact[(2, 0)] == exact[(0, 2)] == 2 - Fraction(0.1)
+    assert set(exact) == {(0, 0), (2, 0), (0, 2)}
+    # the Q of the float -G projects onto the exact -G, a sum of squares
+    cert = MultiplierCertificate(U1=parse("1", 2), U2=parse("0.1", 2),
+                                 gram_negG=(((1, 0), (0, 1), (0, 0)), np.diag([1.9, 1.9, 0.03])))
+    report = verify_multiplier(P, contraction, cert, n_random=100, seed=5)
+    assert report.passed and report.notes["gram_negG_passed"] and report.notes["certified"]
+
+
+def test_gram_of_negated_combination_sees_an_underflowed_constant(contraction):
+    # U2 * P(0) = 1e-200 * 1e-200 underflows to 0 in floats, so the float
+    # -G = 1.9...(x1^2 + x2^2) is a sum of squares over (x1, x2); the exact
+    # -G has the constant -1e-400 < 0, and G(0) > 0 fails the condition
+    P = parse("x1^2 + x2^2 + 1e-200", 2)
+    for basis, Q in [(((1, 0), (0, 1)), np.diag([2.0, 2.0])),
+                     (((1, 0), (0, 1), (0, 0)), np.diag([2.0, 2.0, 0.0]))]:
+        cert = MultiplierCertificate(U1=parse("1", 2), U2=parse("1e-200", 2), gram_negG=(basis, Q))
+        report = verify_multiplier(P, contraction, cert, n_random=100, seed=5)
+        assert report.notes["combination"] == "-2*x1^2 - 2*x2^2"
+        assert not report.notes["gram_negG_passed"]
+        assert not report.passed and report.notes["certified"] is False

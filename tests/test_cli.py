@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import importlib.util
 import io
 import json
@@ -571,6 +572,23 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["tau"] == pytest.approx(1.0, abs=1e-12)
+
+
+# sha256 of the stdout of `python -m algly simulate --problem
+# problems/disk.json`, recorded before the root solver's inner loops became
+# compiled kernels.  The output contract is byte for byte, across versions
+# too.  This path is float arithmetic alone (RK4 steps, Horner passes,
+# Newton steps), so the digest does not depend on the platform's libm.
+_DISK_SIMULATE_SHA256 = "99059b825315796f979407a7f6244db5dccd55c57fb23ac6fdfa4ae6c7c7aa78"
+
+
+def test_disk_simulate_output_is_byte_identical_across_versions():
+    proc = subprocess.run(
+        [sys.executable, "-m", "algly", "simulate", "--problem", str(ROOT / "problems" / "disk.json")],
+        capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == _DISK_SIMULATE_SHA256
 
 
 # -- fuzzing the files the CLI reads ----------------------------------------

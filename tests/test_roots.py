@@ -211,15 +211,16 @@ def test_one_sign_change_root_matches_exact_bisection(coeffs):
     assert near or meets_residual_bound(coeffs, r, 8 * len(coeffs) * 2.0 ** -52)
 
 
-def _count_calls(monkeypatch, name):
+def _count_calls(monkeypatch, kernels, n):
+    """The calls of the kernel that `kernels` holds for n coefficients."""
     calls = []
-    fn = getattr(roots, name)
+    fn = kernels[n]
 
     def counted(c, *args):
         calls.append(list(c))
         return fn(c, *args)
 
-    monkeypatch.setattr(roots, name, counted)
+    monkeypatch.setitem(kernels, n, counted)
     return calls
 
 
@@ -228,9 +229,9 @@ def test_disk_ray_refines_in_a_few_newton_passes(monkeypatch):
     # bracket's low end stays at 0.  The refinement must stop once the
     # Newton step is ulp-sized, not bisect on up from 0.
     coeffs = [0.028511161220373202, 0.08672382708723914, -2.0]
-    passes = _count_calls(monkeypatch, "_value_and_slope")
+    passes = _count_calls(monkeypatch, roots._VALUE_AND_SLOPE, len(coeffs))
     rl = positive_roots(UniPoly(coeffs))
-    assert len(passes) <= 12
+    assert 1 <= len(passes) <= 12
     a, b = exact_sign_root(coeffs)
     assert min(ulps_apart(rl.roots[0], a), ulps_apart(rl.roots[0], b)) <= 4
 
@@ -386,3 +387,72 @@ def test_annulus_ray_takes_the_sign_alternation_path():
     assert exc.value.roots == pytest.approx((0.25, 0.5), rel=1e-15)
     assert not report.passed and report.failures[0].roots == (1.0, 2.0)
     assert not report.failures[0].suspected_tangency
+
+
+# -- straight-line kernels against the loops they unroll -----------------------
+
+_KERNEL_COEFFS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                     1e300, -1e300, 1.0, -1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_KERNEL_POINTS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-310, 1.0, math.inf]),
+    st.integers(-1074, 1023).map(lambda K: 2.0 ** K),
+    st.floats(0.0, 1e300),
+)
+_FLOAT_KERNELS = [(roots._EVAL_LIST, roots._eval_list),
+                  (roots._VALUE_AND_SCALE, roots._value_and_scale),
+                  (roots._VALUE_AND_SLOPE, roots._value_and_slope)]
+
+
+def _hex(result):
+    return [x.hex() for x in (result if isinstance(result, tuple) else (result,))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_KERNEL_COEFFS, min_size=roots._KERNEL_MAX_N, max_size=roots._KERNEL_MAX_N),
+       _KERNEL_POINTS)
+@example([-0.0] * roots._KERNEL_MAX_N, 0.0)
+@example([1e300] * roots._KERNEL_MAX_N, 2.0 ** 1023)
+def test_horner_kernels_equal_their_loops_bit_for_bit(coeffs, t):
+    # every coefficient count up to the cap, on every prefix of the draw
+    for n in range(1, roots._KERNEL_MAX_N + 1):
+        c = coeffs[:n]
+        for kernels, loop in _FLOAT_KERNELS:
+            assert kernels[n] is not loop
+            assert _hex(kernels[n](c, t)) == _hex(loop(c, t)), (n, loop.__name__)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-2 ** 300, 2 ** 300), min_size=roots._KERNEL_MAX_N,
+                max_size=roots._KERNEL_MAX_N))
+def test_shift_kernel_equals_the_loop(coeffs):
+    for n in range(1, roots._KERNEL_MAX_N + 1):
+        c = coeffs[:n]
+        assert roots._SHIFT1[n] is not roots._shift1
+        assert roots._SHIFT1[n](c) == roots._shift1(c)
+        assert c == coeffs[:n]  # the input list is not changed
+
+
+def test_roots_past_the_kernel_cap_take_the_loops(monkeypatch):
+    # (t^17 - 1)(t^17 - 2)(t^2 - 2t + 2): 37 coefficients, past the cap,
+    # and 8 sign changes for the two roots 1 and 2^(1/17) and the complex
+    # pair 1 +- i, so the exact bisection runs too
+    coeffs = [0.0] * 37
+    for k, a in ((0, 2.0), (17, -3.0), (34, 1.0)):
+        for j, b in ((0, 2.0), (1, -2.0), (2, 1.0)):
+            coeffs[k + j] += a * b
+    tables = [*_FLOAT_KERNELS, (roots._SHIFT1, roots._shift1)]
+    for kernels, _ in tables:
+        for n in range(roots._KERNEL_MAX_N + 1, len(coeffs) + 1):
+            monkeypatch.delitem(kernels, n, raising=False)
+    with _isolate_spy() as spy:
+        rl = positive_roots(UniPoly(coeffs))
+    assert spy.call_count == 1
+    assert rl.roots == pytest.approx((1.0, 2.0 ** (1 / 17)), rel=1e-14)
+    assert rl.suspected_multiple == (False, False)
+    # the Newton passes and the shifts went through the tables, to the loops
+    assert len(coeffs) in roots._VALUE_AND_SLOPE and len(coeffs) in roots._SHIFT1
+    for kernels, loop in tables:
+        assert all(kernels[n] is loop for n in kernels if n > roots._KERNEL_MAX_N)
