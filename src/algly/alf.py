@@ -58,10 +58,12 @@ def sample_directions(nvars: int, n: int, seed: int) -> list[tuple[float, ...]]:
     rng = np.random.default_rng(seed)
     dirs = []
     while len(dirs) < n:
-        v = rng.standard_normal(nvars)
-        norm = float(np.linalg.norm(v))
-        if norm > 0.0:
-            dirs.append(tuple(float(c) for c in v / norm))
+        # one row per direction, drawn in one call: the stream of n draws of
+        # nvars each; a zero row is skipped and the shortfall drawn after
+        for v in rng.standard_normal((n - len(dirs), nvars)):
+            norm = float(np.linalg.norm(v))
+            if norm > 0.0:
+                dirs.append(tuple((v / norm).tolist()))
     return dirs
 
 

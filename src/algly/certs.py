@@ -4,13 +4,14 @@ This module checks certificates supplied by the user; it never searches
 for them.  A Gram certificate claims s(x) = z^T Q z for a monomial
 vector z and a positive semidefinite Q; its floats are dyadic rationals,
 so verify_gram decides it exactly.  A multiplier certificate claims
-U1 * grad(P).f + U2 * P < 0 with U1 >= 0; verification is dense
-sampling, optionally backed by Gram certificates for U1 and the negated
-combination for a sampling-free conclusion.
+U1 * grad(P).f + U2 * P < 0 with U1 >= 0; verification samples rays
+from the origin and decides each one over all radii, optionally backed
+by Gram certificates for U1 and the negated combination for a
+sampling-free conclusion.
 
-numpy is imported only for the seeded sampling of multiplier
-certificates, and fractions only to check a Gram certificate, so
-importing this module loads neither.
+Importing this module loads neither numpy nor fractions: fractions is
+imported only to check a Gram certificate, and numpy only by the
+Gaussian ray directions of nvars >= 3.
 """
 
 from __future__ import annotations
@@ -20,9 +21,12 @@ from dataclasses import dataclass, field
 from sys import float_info
 from typing import Sequence
 
+from .alf import sample_directions
 from .dynsys import PolyVectorField, VerificationReport
 from .errors import CertificateError, DimensionMismatchError
+from .homogenize import homogeneous_parts
 from .polycore import Exponents, MultiPoly, PolyFamily
+from .roots import UniPoly, _eval_list, positive_roots
 
 SYMMETRY_TOL = 1e-12     # allowed asymmetry of Q, relative to its largest entry
 _MISMATCH_CAP = 16
@@ -243,32 +247,47 @@ def _negated_combination(P: MultiPoly, f: PolyVectorField, cert: MultiplierCerti
     return {e: c for e, c in out.items() if c}
 
 
-def default_grid(nvars: int) -> list[tuple[float, ...]]:
-    """Uniform grid of 41 points per axis over [-5, 5]^nvars."""
-    axis = [-5.0 + 10.0 * k / 40 for k in range(41)]
-    grid = [()]
-    for _ in range(nvars):
-        grid = [g + (a,) for g in grid for a in axis]
-    return grid
+def _ray_fault(c: Sequence[float], sign: float) -> float | None:
+    """None when sign * c(r) > 0 for every r > 0, c(r) = sum_j c[j] r^j:
+    the lowest nonzero coefficient has the sign and c has no positive root,
+    which the signs alone decide when they do not change.  Otherwise the
+    radius where sign * c(r) is least among the roots and the points
+    before, between and past them, or 1 when there is no root."""
+    lo, hi = min(c), max(c)
+    if lo >= 0.0 or hi <= 0.0:
+        return None if sign * (lo + hi) > 0.0 else 1.0
+    roots = positive_roots(UniPoly(c)).roots
+    if not roots:
+        return None if sign * next(v for v in c if v) > 0.0 else 1.0
+    mids = [0.5 * (a + b) for a, b in zip(roots, roots[1:])]
+    return min([0.5 * roots[0], *roots, *mids, 2.0 * roots[-1]], key=lambda r: sign * _eval_list(c, r))
 
 
 def verify_multiplier(
     P: MultiPoly,
     f: PolyVectorField,
     cert: MultiplierCertificate,
-    grid: Sequence[Sequence[float]] | None = None,
-    n_random: int = 10000,
+    n_dirs: int = 4096,
     seed: int = 0,
 ) -> VerificationReport:
-    """Check G = U1 * grad(P).f + U2 * P < 0 and U1 >= 0 by dense sampling.
+    """Check G = U1 * grad(P).f + U2 * P < 0 and U1 >= 0 on the open rays
+    from the origin along `n_dirs` sampled directions, over all radii.
 
-    Samples are the supplied grid (default: 41 points per axis over
-    [-5, 5]^n for n <= 3) plus `n_random` seeded uniform points.  The
-    origin is excluded when G(0) = 0 structurally.  Attached Gram data
-    for U1 and -G is verified as well and must pass; -G is decided
-    exactly, as the combination of the float inputs.  A Gram certificate
-    for -G, with one for U1 or a constant U1 >= 0, gives a sampling-free
-    conclusion (`certified`).
+    Along a unit direction d both are polynomials in the radius r, whose
+    coefficients are the homogeneous parts at d.  G < 0 on the ray when its
+    lowest nonzero coefficient is negative and it has no positive root;
+    U1 >= 0 when it is 0 all along the ray or passes the same test with a
+    positive lowest coefficient, so a U1 that touches 0 at some r > 0
+    fails.  The directions are check_invariance's: an exact grid in 2D,
+    seeded Gaussian draws above.
+
+    worst_margin is the largest G, and notes["min_U1"] the least U1, each
+    evaluated in r by Horner's rule, over the unit directions and one point
+    r * d on each failing ray where the condition fails.  Attached Gram data for U1 and -G is verified as well
+    and must pass; -G is decided exactly, as the combination of the float
+    inputs.  A Gram certificate for -G, with one for U1 or a constant
+    U1 >= 0, gives a sampling-free conclusion (`certified`).  A coefficient
+    past the float range, of G or along a ray, raises CertificateError.
     """
     if cert.U1.nvars != P.nvars or cert.U2.nvars != P.nvars:
         raise DimensionMismatchError("multipliers and P disagree on the number of variables")
@@ -278,7 +297,6 @@ def verify_multiplier(
     G = cert.U1 * lie + cert.U2 * P
     if not all(map(math.isfinite, G.terms.values())):
         raise CertificateError("a coefficient of U1 * grad(P).f + U2 * P is past the float range")
-    skip_origin = G.coefficient((0,) * P.nvars) == 0.0
     # malformed Gram blocks are refused before any sampling
     grams = {}
     if cert.gram_U1 is not None:
@@ -286,46 +304,43 @@ def verify_multiplier(
     if cert.gram_negG is not None:
         grams["gram_negG"] = build_gram(*cert.gram_negG, -G, "multiplier gram_negG")
 
-    if grid is None:
-        grid = default_grid(P.nvars) if P.nvars <= 3 else []
-        if not grid and n_random == 0:
-            raise ValueError("empty grid and no random samples")
-    elif len(grid) == 0 and n_random == 0:
-        raise ValueError("empty grid and no random samples")
-    import numpy as np
+    def parts(poly: MultiPoly) -> tuple[MultiPoly, ...]:
+        return (poly,) if poly.is_zero() else homogeneous_parts(poly).parts
 
-    rng = np.random.default_rng(seed)
-    samples = [tuple(float(v) for v in pt) for pt in grid]
-    samples += [tuple(float(v) for v in rng.uniform(-5.0, 5.0, P.nvars)) for _ in range(n_random)]
-
-    G_and_U1 = PolyFamily((G, cert.U1))
+    G_parts = parts(G)
+    family = PolyFamily((*G_parts, *parts(cert.U1)))
     worst_G = -math.inf
     worst_witness = None
     min_U1 = math.inf
     min_U1_witness = None
-    n_used = 0
-    for pt in samples:
-        if skip_origin and all(v == 0.0 for v in pt):
-            continue
-        n_used += 1
-        (g_val, u_val), _ = G_and_U1.eval_and_scale(pt)
-        if g_val > worst_G:
-            worst_G = g_val
-            worst_witness = pt
-        if u_val < min_U1:
-            min_U1 = u_val
-            min_U1_witness = pt
+    sampled_ok = True
+    for d in sample_directions(P.nvars, n_dirs, seed):
+        values = family.eval_and_scale(d)[0]
+        if not all(map(math.isfinite, values)):
+            raise CertificateError(f"a coefficient of G or U1 along the ray {d} is past the float range")
+        g, u = values[:len(G_parts)], values[len(G_parts):]
+        radii = [1.0]
+        # most rays pass on their signs alone: G's coefficients <= 0 with one
+        # < 0, and U1's >= 0; _ray_fault decides the others
+        if not (max(g) <= 0.0 and min(g) < 0.0 and min(u) >= 0.0):
+            faults = {_ray_fault(g, -1.0), _ray_fault(u, 1.0) if any(u) else None} - {None}
+            sampled_ok = sampled_ok and not faults
+            radii += sorted(faults)
+        for r in radii:
+            g_val, u_val = _eval_list(g, r), _eval_list(u, r)
+            if g_val > worst_G:
+                worst_G, worst_witness = g_val, tuple(r * v for v in d)
+            if u_val < min_U1:
+                min_U1, min_U1_witness = u_val, tuple(r * v for v in d)
 
     notes = {
         "check": "multiplier",
-        "grid_points": len(grid),
-        "random_points": n_random,
+        "evidence": "sampled rays, all radii",
         "seed": seed,
         "min_U1": min_U1,
         "min_U1_witness": min_U1_witness,
         "combination": G.to_text(),
     }
-    sampled_ok = worst_G < 0.0 and min_U1 >= 0.0
 
     certified = None
     for key, gram in grams.items():
@@ -342,7 +357,7 @@ def verify_multiplier(
     passed = sampled_ok and (certified is None or certified)
     return VerificationReport(
         passed=passed,
-        n_samples=n_used,
+        n_samples=n_dirs,
         worst_margin=worst_G,
         worst_witness=worst_witness,
         notes=notes,

@@ -338,7 +338,7 @@ def cmd_verify(args) -> int:
         checks["decrease"] = {"status": "blocked", "reason": blocked_reason}
 
     if multiplier is not None:
-        rep = certs.verify_multiplier(problem.P, problem.field, multiplier, seed=problem.seed)
+        rep = certs.verify_multiplier(problem.P, problem.field, multiplier, n_dirs, problem.seed)
         checks["multiplier"] = _report_payload(rep)
 
     overall = all(entry.get("passed", False) for entry in checks.values() if "status" not in entry)
@@ -485,7 +485,8 @@ def cmd_cert(args) -> int:
         if problem.field is None:
             raise UsageError("multiplier verification needs a 'field' entry in the problem file")
         cert = _multiplier_from_json(data, problem.nvars)
-        report = certs.verify_multiplier(problem.P, problem.field, cert, seed=problem.seed)
+        n_dirs = problem.options.get("n_dirs", _OPTIONS["n_dirs"][0])
+        report = certs.verify_multiplier(problem.P, problem.field, cert, n_dirs, problem.seed)
         payload = {"kind": "multiplier", **_report_payload(report)}
         _emit_json(payload, args.out)
         return EXIT_OK if report.passed else EXIT_CHECK_FAILED

@@ -151,7 +151,8 @@ def rk4(f: PolyVectorField, x0: Sequence[float], h: float, T: float) -> Trajecto
     n_full = int(math.floor(T / h + 1e-9))
     remainder = T - n_full * h
     steps = [h] * n_full
-    if remainder > 1e-12 * max(1.0, abs(T)):
+    # the slack of the floor above, so the cut does not depend on the time unit
+    if remainder > 1e-9 * h:
         steps.append(remainder)
     t = 0.0
     for step in steps:

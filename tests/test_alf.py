@@ -257,6 +257,27 @@ def test_sample_directions_deterministic_and_unit():
     assert abs(grid[1][1] - 1.0) <= 1e-15
 
 
+def _loop_directions(nvars, n, seed):
+    # one standard_normal call per direction: the reference stream
+    rng = np.random.default_rng(seed)
+    dirs = []
+    while len(dirs) < n:
+        v = rng.standard_normal(nvars)
+        norm = float(np.linalg.norm(v))
+        if norm > 0.0:
+            dirs.append(tuple(float(c) for c in v / norm))
+    return dirs
+
+
+@pytest.mark.parametrize("nvars", [3, 4, 5, 6])
+def test_gaussian_directions_equal_the_per_direction_loop(nvars):
+    for n in (1, 2, 37, 1000):
+        for seed in (0, 1, 303, 2 ** 40):
+            got = sample_directions(nvars, n, seed)
+            want = _loop_directions(nvars, n, seed)
+            assert [tuple(map(float.hex, d)) for d in got] == [tuple(map(float.hex, d)) for d in want]
+
+
 def test_tau_on_a_large_disk():
     # x1^2 + x2^2 <= 1e12 has radius 1e6, so tau((1, 0)) = 1e-6
     L = HomogenizedLyapunov(parse("x1^2+x2^2-1e12", 2))

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from algly import certs
@@ -250,10 +250,10 @@ def test_multiplier_skips_structural_zero_at_origin():
     P = parse("x1^2 + x2^2 - 1", 2)
     f = linear([[0.0, -1.0], [1.0, 0.0]])
     # G = U1 * grad(P).f + U2 * P with U2 = 0 gives identically 0, so every
-    # sample fails the strict bound; with the rotation field grad(P).f = 0
+    # ray fails the strict bound; with the rotation field grad(P).f = 0
     cert = MultiplierCertificate(U1=parse("1", 2), U2=parse("0", 2))
-    report = verify_multiplier(P, f, cert, n_random=100, seed=5)
-    assert not report.passed
+    report = verify_multiplier(P, f, cert, seed=5)
+    assert not report.passed and report.worst_margin == 0.0
     assert report.notes["combination"] == "0"
 
 
@@ -292,8 +292,57 @@ def test_multiplier_of_more_than_3000_terms():
     print(f"\nG: {len(G.terms)} terms compiled in {(time.perf_counter() - t0) * 1e3:.0f} ms")
     for x in points:
         assert same_bits(family.eval_and_scale(x)[0][0], eval_terms(G, x))
-    report = verify_multiplier(P, f, cert, grid=points, n_random=0)
-    assert same_bits(report.worst_margin, max(eval_terms(G, x) for x in points))
+    # (x1+x2+x3+x4+1)^14 dominates far out: every ray with x1+x2+x3+x4 != 0 fails
+    report = verify_multiplier(P, f, cert, n_dirs=8)
+    assert not report.passed and report.worst_margin > 0.0
+    assert report.worst_margin == pytest.approx(eval_terms(G, report.worst_witness), rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-6.0, 6.0))
+@example(-6.0)
+@example(6.0)
+def test_multiplier_verdict_does_not_depend_on_units(contraction, expansion, u):
+    # the disk in units where it is s = 10^u times as large: P(x / s)
+    c = 1.0 / 10.0 ** u
+    P = parse(f"(x1*{c!r} - 1)^2 + (x2*{c!r} + 1)^2 - 4", 2)
+    cert = MultiplierCertificate(U1=parse("1", 2), U2=parse("1", 2))
+    assert verify_multiplier(P, contraction, cert, n_dirs=256).passed
+    assert not verify_multiplier(P, expansion, cert, n_dirs=256).passed
+
+
+@pytest.mark.parametrize("c, fault, solves", [
+    ([-2.0, 0.0, -1.0], None, 0),   # no sign change: the signs decide
+    ([0.0, 0.0], 1.0, 0),           # identically 0
+    ([2.0, 1.0], 1.0, 0),           # positive throughout
+    ([-1.0, 0.0, 1.0], 2.0, 1),     # past the root 1, where the positive top dominates
+    ([-1.0, 3.0, -1.0], 1.5, 1),    # between the roots (3 -+ sqrt(5)) / 2
+    ([-1.0, 2.0, -1.0], 1.0, 1),    # -(r - 1)^2 touches 0 at r = 1
+    ([-1.0, 1.0, -1.0], None, 1),   # two sign changes and no positive root
+])
+def test_ray_fault_is_a_radius_where_the_sign_fails(monkeypatch, c, fault, solves):
+    calls = []
+    solve = certs.positive_roots
+    monkeypatch.setattr(certs, "positive_roots", lambda q: calls.append(q) or solve(q))
+    got = certs._ray_fault(c, -1.0)
+    assert len(calls) == solves
+    if fault is None:
+        assert got is None
+    else:
+        assert got == pytest.approx(fault, rel=1e-15)
+        assert sum(v * got ** j for j, v in enumerate(c)) >= 0.0
+
+
+def test_multiplier_u1_touching_zero_fails(contraction):
+    # U1 = (x1 - 0.5)^2 + x2^2 >= 0 is 0 at (0.5, 0) on the sampled ray (1, 0):
+    # the ray check asks U1 > 0 on every open ray where U1 is not identically 0
+    P = parse("x1^2 + x2^2 - 1", 2)
+    for U1, passed in [("(x1 - 0.5)^2 + x2^2 + 0.01", True), ("(x1 - 0.5)^2 + x2^2", False)]:
+        cert = MultiplierCertificate(U1=parse(U1, 2), U2=parse("1", 2))
+        report = verify_multiplier(P, contraction, cert, n_dirs=64)
+        assert report.passed is passed, U1
+        assert report.worst_margin < 0.0
+    assert report.notes["min_U1"] == 0.0 and report.notes["min_U1_witness"] == (0.5, 0.0)
 
 
 _CIRCLE_GRAM_U1 = (((1, 0), (0, 1), (0, 0)), np.eye(3))
@@ -317,7 +366,7 @@ _CIRCLE_GRAM_NEG_G = (((2, 0), (0, 2), (1, 0), (0, 1), (0, 0)),
 ])
 def test_constant_u1_needs_no_gram_block(contraction, P, U1, gram_U1, gram_negG, certified):
     cert = MultiplierCertificate(U1=parse(U1, 2), U2=parse("1", 2), gram_U1=gram_U1, gram_negG=gram_negG)
-    report = verify_multiplier(parse(P, 2), contraction, cert, n_random=100, seed=5)
+    report = verify_multiplier(parse(P, 2), contraction, cert, seed=5)
     assert report.passed
     assert report.notes.get("certified") is certified
 
@@ -336,7 +385,7 @@ def test_negated_combination_is_exact(contraction):
     # the Q of the float -G projects onto the exact -G, a sum of squares
     cert = MultiplierCertificate(U1=parse("1", 2), U2=parse("0.1", 2),
                                  gram_negG=(((1, 0), (0, 1), (0, 0)), np.diag([1.9, 1.9, 0.03])))
-    report = verify_multiplier(P, contraction, cert, n_random=100, seed=5)
+    report = verify_multiplier(P, contraction, cert, seed=5)
     assert report.passed and report.notes["gram_negG_passed"] and report.notes["certified"]
 
 
@@ -348,7 +397,7 @@ def test_gram_of_negated_combination_sees_an_underflowed_constant(contraction):
     for basis, Q in [(((1, 0), (0, 1)), np.diag([2.0, 2.0])),
                      (((1, 0), (0, 1), (0, 0)), np.diag([2.0, 2.0, 0.0]))]:
         cert = MultiplierCertificate(U1=parse("1", 2), U2=parse("1e-200", 2), gram_negG=(basis, Q))
-        report = verify_multiplier(P, contraction, cert, n_random=100, seed=5)
+        report = verify_multiplier(P, contraction, cert, seed=5)
         assert report.notes["combination"] == "-2*x1^2 - 2*x2^2"
         assert not report.notes["gram_negG_passed"]
         assert not report.passed and report.notes["certified"] is False

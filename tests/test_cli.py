@@ -359,6 +359,22 @@ def test_cert_command_fails_gram_certificates_of_non_sos_targets(tmp_path, capsy
     assert payload["psd_failed_at"] == len(cert["basis"]) - 1
 
 
+@pytest.mark.parametrize("scale", [1, 1000])
+def test_cert_multiplier_verdict_does_not_depend_on_units(tmp_path, capsys, scale):
+    # the disk of radius 2 about (1, -1), in units where it has radius 2 * scale,
+    # under the expanding field x' = x: G = U1 * grad(P).x + U2 * P is positive
+    # far out on every ray
+    P = f"(x1-{scale})^2 + (x2+{scale})^2 - {4 * scale ** 2}"
+    problem = write_problem(tmp_path, P=P, field={"matrix": [[1, 0], [0, 1]]})
+    cert = tmp_path / "mult.json"
+    cert.write_text(json.dumps({"U1": "1", "U2": "1"}))
+    code, out = run_cli(capsys, "cert", "--problem", problem, "--cert", str(cert))
+    assert code == 1
+    payload = json.loads(out)
+    assert not payload["passed"] and payload["worst_margin"] > 0.0
+    assert payload["n_samples"] == 256 and payload["notes"]["evidence"] == "sampled rays, all radii"
+
+
 def test_cert_command_multiplier(tmp_path, capsys):
     problem = write_problem(tmp_path)
     cert = tmp_path / "mult.json"
@@ -544,12 +560,16 @@ def test_two_dimensional_commands_run_without_numpy(tmp_path):
     gram.write_text(json.dumps({"basis": [[1, 0], [0, 1], [0, 0]],
                                 "Q": [[1, 0, 0], [0, 1, 0], [0, 0, 2]],
                                 "target": "x1^2 + x2^2 + 2"}))
+    multiplier = tmp_path / "multiplier.json"
+    multiplier.write_text(json.dumps(json.loads((ROOT / "problems" / "disk.json").read_text())["multiplier"]))
     runs = [
         ["decompose"],
         ["tau", "--x", "1", "1"],
         ["contour", "--n-theta", "32"],
         ["simulate", "--T", "0.05"],
         ["cert", "--cert", str(gram)],
+        ["cert", "--cert", str(multiplier)],
+        ["verify", "--T", "0.05"],
     ]
     argvs = [[cmd, "--problem", disk, "--out", str(tmp_path / f"{cmd}.out"), *rest]
              for cmd, *rest in runs]
@@ -701,6 +721,10 @@ _OVERFLOWING_P = ["1e309*x1^2+x2^2-1", "1e200*x1^2*1e200+x2^2-1"]
     pytest.param("cert", {}, {"basis": [[0, 0]], "Q": [[1]], "target": 5}, id="gram-target-not-text"),
     pytest.param("cert", {"field": {"matrix": [[1e308, 0], [0, -1]]}}, {"U1": "1", "U2": "1"},
                  id="multiplier-combination-overflows"),
+    # G = 1.7e308 * (x1^2 + x1*x2 + x2^2 - 1) is finite, its part of degree 2
+    # at the direction (1, 1)/sqrt(2) is 1.5 * 1.7e308
+    pytest.param("cert", {"P": "x1^2 + x1*x2 + x2^2 - 1", "field": {"matrix": [[0, -1], [1, 0]]}},
+                 {"U1": "0", "U2": "1.7e308"}, id="multiplier-ray-coefficient-overflows"),
     *(pytest.param(command, {"P": text}, None, id=f"{command}-{text}")
       for text in _OVERFLOWING_P for command in ("tau", "verify", "contour", "simulate")),
     pytest.param("verify", {"field": {"matrix": [["a", 0], [0, -1]]}}, None, id="matrix-string-entry"),

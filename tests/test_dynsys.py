@@ -84,6 +84,15 @@ def test_rk4_sample_counts(contraction):
     assert abs(traj.times[-1] - 1.0) <= 1e-15
 
 
+def test_rk4_partial_step_does_not_depend_on_the_time_unit(contraction):
+    # T/h = 3.33...: three full steps and a partial one, at any time unit
+    for unit in (1.0, 1e-11):
+        h, T = 3e-3 * unit, 1e-2 * unit
+        traj = rk4(contraction, (1.0, 1.0), h, T)
+        assert len(traj) == 5
+        assert traj.times[-1] == pytest.approx(T, rel=1e-12)
+
+
 def test_rk4_step_validation(contraction):
     with pytest.raises(ValueError):
         rk4(contraction, (1.0, 0.0), -0.1, 1.0)
