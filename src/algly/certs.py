@@ -67,7 +67,7 @@ class GramCertificate:
             raise DimensionMismatchError(f"Q is not a {m} x {m} matrix")
         if not all(math.isfinite(v) for row in Q for v in row):
             raise ValueError("Q entries must be finite numbers")
-        scale = max(1.0, max(abs(v) for row in Q for v in row))
+        scale = max(abs(v) for row in Q for v in row)
         if any(abs(Q[i][j] - Q[j][i]) > SYMMETRY_TOL * scale for i in range(m) for j in range(i)):
             raise ValueError("Q is not symmetric within tolerance")
         object.__setattr__(self, "Q", Q)

@@ -31,10 +31,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import certs, dynsys
-from .alf import HomogenizedLyapunov
+from .alf import HomogenizedLyapunov, sample_directions
 from .errors import (
     AlglyError,
     CertificateError,
@@ -290,59 +290,44 @@ def cmd_verify(args) -> int:
         v0 = problem.P.eval(problem.x0)
         checks["containment"] = {"passed": v0 <= 0.0, "x0": list(problem.x0), "value_at_x0": v0}
 
-    blocked_reason = None
-    if not checks["origin_interior"]["passed"]:
-        blocked_reason = "origin_interior failed"
-    L = None
-    if blocked_reason is None:
-        L = build_lyapunov(problem)
+    def star_convexity():
         star = L.check_star_convex()
-        checks["star_convexity"] = {
-            "passed": star.passed,
-            "checked_directions": star.checked_directions,
-            "n_failures": len(star.failures),
-            "failures": [
-                {
-                    "index": fail.index,
-                    "direction": list(fail.direction),
-                    "root_count": fail.root_count,
-                    "roots": list(fail.roots),
-                    "suspected_tangency": fail.suspected_tangency,
-                }
-                for fail in star.failures[:16]
-            ],
-        }
-        if not star.passed:
-            blocked_reason = "star_convexity failed"
-    else:
-        checks["star_convexity"] = {"status": "blocked", "reason": blocked_reason}
+        return {"passed": star.passed, "checked_directions": star.checked_directions,
+                "n_failures": len(star.failures), "failures": [asdict(f) for f in star.failures[:16]]}
 
-    if blocked_reason is None:
-        try:
-            inv = dynsys.check_invariance(L, problem.field, n_dirs, strict_tol)
-            checks["invariance"] = _report_payload(inv)
-        except AlglyError as exc:
-            checks["invariance"] = {"passed": False, "error": str(exc)}
-    else:
-        checks["invariance"] = {"status": "blocked", "reason": blocked_reason}
+    def invariance():
+        return _report_payload(dynsys.check_invariance(L, problem.field, n_dirs, strict_tol))
 
-    if blocked_reason is None:
+    def decrease():
         starts = [problem.x0] if problem.x0 is not None else _random_starts(problem, 8)
+        dec = dynsys.check_decrease(L, problem.field, starts, h, T)
+        return {**_report_payload(dec), "starts": [list(s) for s in starts]}
+
+    # The chain of the argument: a failed check blocks every later one.  An
+    # error in star-convexity propagates; in a later check it fails that check.
+    stages = (("star_convexity", star_convexity, True), ("invariance", invariance, False),
+              ("decrease", decrease, False))
+    blocked_reason = None if checks["origin_interior"]["passed"] else "origin_interior failed"
+    L = build_lyapunov(problem) if blocked_reason is None else None
+    for name, run, gates in stages:
+        if blocked_reason is not None:
+            checks[name] = {"status": "blocked", "reason": blocked_reason}
+            continue
         try:
-            dec = dynsys.check_decrease(L, problem.field, starts, h, T)
-            checks["decrease"] = _report_payload(dec)
-            checks["decrease"]["starts"] = [list(s) for s in starts]
+            checks[name] = run()
         except AlglyError as exc:
-            checks["decrease"] = {"passed": False, "error": str(exc)}
-    else:
-        checks["decrease"] = {"status": "blocked", "reason": blocked_reason}
+            if gates:
+                raise
+            checks[name] = {"passed": False, "error": str(exc)}
+        if gates and not checks[name]["passed"]:
+            blocked_reason = f"{name} failed"
 
     if multiplier is not None:
         rep = certs.verify_multiplier(problem.P, problem.field, multiplier, n_dirs, problem.seed)
         checks["multiplier"] = _report_payload(rep)
 
+    # a blocked check follows a failed one, so it need not count
     overall = all(entry.get("passed", False) for entry in checks.values() if "status" not in entry)
-    overall = overall and blocked_reason is None
     payload = {"seed": problem.seed, "checks": checks, "passed": overall}
     _emit_json(payload, args.out)
     return EXIT_OK if overall else EXIT_CHECK_FAILED
@@ -364,15 +349,11 @@ def _random_starts(problem: Problem, count: int) -> list[tuple[float, ...]]:
 
 
 def _report_payload(report: dynsys.VerificationReport) -> dict:
-    payload = {
-        "passed": report.passed,
-        "n_samples": report.n_samples,
-        "worst_margin": None if math.isinf(report.worst_margin) else report.worst_margin,
-        "worst_witness": list(report.worst_witness) if report.worst_witness is not None else None,
-        "notes": report.notes,
-    }
-    if report.details:
-        payload["details"] = report.details[:16]
+    payload = {**asdict(report), "details": report.details[:16]}
+    if math.isinf(report.worst_margin):
+        payload["worst_margin"] = None
+    if not report.details:
+        del payload["details"]
     return payload
 
 
@@ -409,11 +390,9 @@ def cmd_contour(args) -> int:
     # one root solve per direction; each level is an exact scaling of the
     # unit-level boundary point d / tau(d)
     boundary = []
-    for k in range(n_theta):
-        theta = 2.0 * math.pi * k / n_theta
-        d = (math.cos(theta), math.sin(theta))
+    for k, d in enumerate(sample_directions(2, n_theta, problem.seed)):
         t = L.tau(d)
-        boundary.append((theta, d[0] / t, d[1] / t))
+        boundary.append((2.0 * math.pi * k / n_theta, d[0] / t, d[1] / t))
     lines = ["level,theta,x1,x2"]
     for level in sorted(levels):
         for theta, b1, b2 in boundary:
@@ -465,19 +444,9 @@ def cmd_cert(args) -> int:
         target = parse(data["target"], problem.nvars)
         cert = certs.build_gram(data["basis"], data["Q"], target)
         report = certs.verify_gram(cert)
-        payload = {
-            "kind": "gram",
-            "passed": report.passed,
-            "coeff_ok": report.coeff_ok,
-            "psd_ok": report.psd_ok,
-            "psd_failed_at": report.psd_failed_at,
-            "max_coeff_error": report.max_coeff_error,
-        }
-        if report.mismatches:
-            payload["mismatches"] = [
-                {"exponents": list(m["exponents"]), "expanded": m["expanded"], "target": m["target"]}
-                for m in report.mismatches
-            ]
+        payload = {"kind": "gram", **asdict(report)}
+        if not report.mismatches:
+            del payload["mismatches"]
         _emit_json(payload, args.out)
         return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 

@@ -13,6 +13,7 @@ step while its finite-difference slope tracks the analytic rate.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -25,15 +26,18 @@ if TYPE_CHECKING:
     from .alf import HomogenizedLyapunov
 
 DETAILS_CAP = 64
-# States beyond this magnitude count as blow-up; keeping them finite but
-# enormous would only overflow every later polynomial evaluation.
+# States past this multiple of max|x0_i| count as blow-up; keeping them
+# finite but enormous would only overflow every later polynomial evaluation.
 DIVERGENCE_CAP = 1e30
 # Most RK4 steps one trajectory may take (T/h); each step's state is kept.
 MAX_STEPS = 1_000_000
 
 
-def check_homogeneity(components: Sequence[MultiPoly]) -> int:
-    """The unique nu with every nonzero component homogeneous of degree nu + 1."""
+def check_homogeneity(components: Sequence[MultiPoly], nu: int | None = None) -> int:
+    """The unique nu with every nonzero component homogeneous of degree
+    nu + 1; a given `nu` is checked, and then all-zero components pass."""
+    if nu is not None and nu < 0:
+        raise MixedDegreesError(f"homogeneity degree must be >= 0, got {nu}")
     if not components:
         raise MixedDegreesError("field has no components")
     nvars = components[0].nvars
@@ -43,10 +47,13 @@ def check_homogeneity(components: Sequence[MultiPoly]) -> int:
             raise DimensionMismatchError("components disagree on the number of variables")
         if comp.is_zero():
             continue
-        d = comp.degree()
+        d = comp.degree() if nu is None else nu + 1
         if not euler_residual(comp, d).is_zero():
-            raise MixedDegreesError(f"component {i + 1} mixes terms of different degrees")
+            raise MixedDegreesError(f"component {i + 1} mixes terms of different degrees" if nu is None
+                                    else f"component {i + 1} is not homogeneous of degree {d}")
         degrees.add(d)
+    if nu is not None:
+        return nu
     if not degrees:
         raise MixedDegreesError("all components are zero; homogeneity degree is undefined")
     if len(degrees) > 1:
@@ -68,17 +75,7 @@ class PolyVectorField:
     def __post_init__(self):
         components = tuple(self.components)
         object.__setattr__(self, "components", components)
-        if self.nu is None:
-            object.__setattr__(self, "nu", check_homogeneity(components))
-        else:
-            if self.nu < 0:
-                raise MixedDegreesError(f"homogeneity degree must be >= 0, got {self.nu}")
-            for i, comp in enumerate(components):
-                if comp.is_zero():
-                    continue
-                if not euler_residual(comp, self.nu + 1).is_zero():
-                    raise MixedDegreesError(
-                        f"component {i + 1} is not homogeneous of degree {self.nu + 1}")
+        object.__setattr__(self, "nu", check_homogeneity(components, self.nu))
         object.__setattr__(self, "_family", PolyFamily(components))
 
     @property
@@ -132,11 +129,16 @@ def _rk4_step(f: PolyVectorField, x: tuple[float, ...], h: float) -> tuple[float
     )
 
 
+def _whole_steps(h: float, T: float) -> int:
+    """The steps of size h that fit in T; rk4 covers the rest by one partial step."""
+    return int(math.floor(T / h + 1e-9))
+
+
 def rk4(f: PolyVectorField, x0: Sequence[float], h: float, T: float) -> Trajectory:
     """Classical fixed-step Runge-Kutta; a final partial step covers T
     when T/h is not integral, and T/h may not pass MAX_STEPS.  States
-    that stop being finite (or exceed DIVERGENCE_CAP in magnitude)
-    truncate the trajectory and set the `diverged` flag."""
+    that stop being finite (or exceed DIVERGENCE_CAP times max|x0_i| in
+    magnitude) truncate the trajectory and set the `diverged` flag."""
     if h <= 0.0:
         raise ValueError(f"step must be positive, got {h}")
     if T < 0.0:
@@ -146,9 +148,10 @@ def rk4(f: PolyVectorField, x0: Sequence[float], h: float, T: float) -> Trajecto
     if len(x0) != f.nvars:
         raise DimensionMismatchError(f"x0 has length {len(x0)}, expected {f.nvars}")
     x = tuple(float(v) for v in x0)
+    cap = DIVERGENCE_CAP * max(map(abs, x))
     times = [0.0]
     states = [x]
-    n_full = int(math.floor(T / h + 1e-9))
+    n_full = _whole_steps(h, T)
     remainder = T - n_full * h
     steps = [h] * n_full
     # the slack of the floor above, so the cut does not depend on the time unit
@@ -160,7 +163,7 @@ def rk4(f: PolyVectorField, x0: Sequence[float], h: float, T: float) -> Trajecto
             x = _rk4_step(f, x, step)
         except OverflowError:
             return Trajectory(times, states, h, f, diverged=True)
-        if not all(math.isfinite(v) and abs(v) <= DIVERGENCE_CAP for v in x):
+        if not all(math.isfinite(v) and abs(v) <= cap for v in x):
             return Trajectory(times, states, h, f, diverged=True)
         t += step
         times.append(t)
@@ -178,8 +181,8 @@ class VerificationReport:
     n_samples: int
     worst_margin: float
     worst_witness: tuple[float, ...] | None
+    notes: dict = field(default_factory=dict)     # before details: the JSON key order
     details: list = field(default_factory=list)
-    notes: dict = field(default_factory=dict)
 
 
 def check_invariance(
@@ -225,17 +228,19 @@ def check_decrease(
     """Integrate from each start and require tau to decrease at every step.
 
     Per-step slack is 1e-9 * tau(x0) to absorb root-refinement jitter.
-    At every interior sample the centered finite-difference slope of tau
-    must also match tau_dot within (10*h^2 + 1e-8) * max(1, |tau_dot|);
-    the tolerance is recorded in the report notes.
+    The centred slope of tau at sample k must match tau_dot within
+    2 * D3 / (6h) + 8 eps |tau_k| / h: D3 / (6h) estimates the truncation
+    h^2 tau''' / 6 by the largest |third difference| D3 of tau whose
+    stencil straddles k and spans whole steps only, and the second term
+    bounds the rounding of tau.  Samples with no such stencil are not compared.
     """
-    fd_tol_factor = 10.0 * h * h + 1e-8
     notes = {
         "check": "decrease",
         "step": h,
         "horizon": T,
         "slack_per_step": "1e-9 * tau(x0)",
-        "fd_tolerance": f"{fd_tol_factor} * max(1, |tau_dot|)",
+        "fd_tolerance": "2 * D3 / (6h) + 8 eps |tau| / h, D3 = max |third difference of tau| "
+                        "over the whole-step stencils around the sample",
     }
     if not x0s:
         return VerificationReport(
@@ -268,13 +273,17 @@ def check_decrease(
                 worst_witness = traj.states[k + 1]
             if inc >= slack:
                 passed = False
+        # the stencils j..j+3 that end at or before the last whole step
+        d3 = [abs(taus[j + 3] - 3.0 * taus[j + 2] + 3.0 * taus[j + 1] - taus[j])
+              for j in range(_whole_steps(h, T) - 2)]
         for k in range(1, len(taus) - 1):
-            if not any(traj.states[k]):
-                continue  # tau_dot is undefined at the origin, an equilibrium
+            around = d3[max(k - 2, 0):k]
+            if not around or not any(traj.states[k]):
+                continue  # no stencil, or the origin, where tau_dot is undefined
             dt = traj.times[k + 1] - traj.times[k - 1]
             fd = (taus[k + 1] - taus[k - 1]) / dt
             td = L.tau_dot(f, traj.states[k])
-            if abs(fd - td) > fd_tol_factor * max(1.0, abs(td)):
+            if abs(fd - td) > max(around) / (3.0 * h) + 8.0 * sys.float_info.epsilon * abs(taus[k]) / h:
                 passed = False
                 if len(details) < DETAILS_CAP:
                     details.append({"x0": tuple(x0), "t": traj.times[k],

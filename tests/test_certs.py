@@ -106,6 +106,14 @@ def test_gram_rejects_bad_inputs():
                         parse("x1^2", 2))
 
 
+def test_gram_asymmetry_is_refused_at_every_scale():
+    target = parse("x1^2 + x1*x2 + x2^2", 2)
+    for k in range(-80, 81):
+        s = 2.0 ** k
+        with pytest.raises(CertificateError, match="not symmetric"):
+            certs.build_gram(((1, 0), (0, 1)), [[s, 0.5 * s], [0.5 * (1 + 1e-6) * s, s]], target)
+
+
 def test_expand_quadratic_form_matches_numeric():
     rng = np.random.default_rng(40)
     basis = ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1))

@@ -257,6 +257,54 @@ def test_simulate_single_row_horizon_zero(tmp_path, capsys):
     assert len(out.strip().split("\n")) == 2
 
 
+def test_verify_and_simulate_do_not_depend_on_units(tmp_path, capsys):
+    # disk in units of 1e31: the same verdicts, states scaled by 1e31, the same tau
+    options = {"seed": 11, "ray_samples": 128, "n_dirs": 256, "h": 1e-3, "T": 0.5}
+    unit = write_problem(tmp_path, "unit.json", options=options)
+    large = write_problem(tmp_path, "large.json", P="(x1*1e-31 - 1)^2 + (x2*1e-31 + 1)^2 - 4",
+                          x0=[1e31, 0], options=options)
+    (code1, out1), (code2, out2) = (run_cli(capsys, "verify", "--problem", p) for p in (unit, large))
+    verdicts1, verdicts2 = ({name: check["passed"] for name, check in json.loads(out)["checks"].items()}
+                            for out in (out1, out2))
+    assert code1 == code2 == 0 and verdicts1 == verdicts2
+    (code1, out1), (code2, out2) = (run_cli(capsys, "simulate", "--problem", p) for p in (unit, large))
+    rows1, rows2 = ([[float(v) for v in line.split(",")] for line in out.strip().split("\n")[1:]]
+                    for out in (out1, out2))
+    assert code1 == code2 == 0 and len(rows1) == len(rows2) == 501
+    for (t1, a1, b1, tau1, _), (t2, a2, b2, tau2, _) in zip(rows1, rows2):
+        assert t1 == t2 and tau2 == pytest.approx(tau1, rel=1e-13)
+        assert [a2, b2] == pytest.approx([1e31 * a1, 1e31 * b1], rel=1e-14)
+
+
+def test_verify_reports_an_invariance_error_as_a_failed_check(tmp_path, capsys):
+    # Rays near the x1-axis cross this boundary three times.  The one star
+    # ray misses them, so invariance meets one and raises; the error fails
+    # invariance alone, and decrease still runs.
+    problem = write_problem(tmp_path, P="x1^2 + x2^2 - 1 - 3*x2^2*(x1^2 + x2^2)",
+                            options={"seed": 11, "ray_samples": 1, "n_dirs": 256, "h": 1e-3, "T": 0.5})
+    code, out = run_cli(capsys, "verify", "--problem", problem)
+    checks = json.loads(out)["checks"]
+    assert code == 1
+    assert checks["star_convexity"]["passed"] and checks["decrease"]["passed"]
+    assert set(checks["invariance"]) == {"passed", "error"} and not checks["invariance"]["passed"]
+    assert checks["invariance"]["error"].startswith("multiple positive roots")
+
+
+def test_verify_sextic_without_x0_passes_decrease(tmp_path, capsys):
+    # tau falls at every step from all 8 random starts, and its third
+    # derivative is large there: the slope passes within a tolerance taken
+    # from tau's third differences
+    problem = write_problem(
+        tmp_path, P="(x1^2+x2^2)^3 - x1^5 + x2^3*x1 - 1 + x1", x0=None,
+        field={"components": ["(x1^2+x2^2)*(-1.0*x1 + 0.5*x2)", "(x1^2+x2^2)*(-0.5*x1 + -1.0*x2)"]},
+        options={"seed": 1, "ray_samples": 256, "n_dirs": 256, "h": 1e-3, "T": 2.0})
+    code, out = run_cli(capsys, "verify", "--problem", problem)
+    decrease = json.loads(out)["checks"]["decrease"]
+    assert len(decrease["starts"]) == 8
+    assert decrease["passed"] and "details" not in decrease
+    assert code == 0
+
+
 def test_simulate_divergence_trailer(tmp_path, capsys):
     problem = write_problem(tmp_path, field={"components": ["x1^3", "x2^3"]}, x0=[10, 10])
     code, out = run_cli(capsys, "simulate", "--problem", problem, "--h", "0.01", "--T", "1")
@@ -609,6 +657,33 @@ def test_disk_simulate_output_is_byte_identical_across_versions():
     )
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == _DISK_SIMULATE_SHA256
+
+
+_GRAM_BASIS = [[1, 0], [0, 1], [0, 0]]
+_GRAM_Q = [[1, 0, 0], [0, 1, 0], [0, 0, 2]]
+
+
+# sha256 of the stdout of `contour` and `cert` on problems/disk.json,
+# recorded before `cert` built its JSON from the report dataclasses and
+# `contour` took its directions from sample_directions.  Both take the
+# directions from libm's cos and sin.
+@pytest.mark.parametrize("argv, cert, code, digest", [
+    (["contour"], None, 0, "9eb7598391226847a5c6902b3ad45a4d6bab0855e452a6deaec071ce4b3dea4a"),
+    (["cert"], {"basis": _GRAM_BASIS, "Q": _GRAM_Q, "target": "x1^2 + x2^2 + 2"}, 0,
+     "b8ab0033fefbe8fd4a0c5cd98b25828b7c9efb43788e980479e296cfbe94115f"),
+    (["cert"], {"basis": _GRAM_BASIS, "Q": _GRAM_Q, "target": "x1^2 + 3*x2^2 + 2 + x1^3"}, 1,
+     "21375a1c5436ea8c501adf18fce8ac3e591441be9655f44230ce3a033ace47f3"),
+    (["cert"], "multiplier", 0, "e7937d7e5e424a32a5e8d2569d32142e333921a2edd3392bde016a8a754740b3"),
+], ids=["contour", "cert-gram", "cert-gram-mismatch", "cert-multiplier"])
+def test_disk_contour_and_cert_outputs_are_byte_identical_across_versions(tmp_path, argv, cert, code, digest):
+    disk = ROOT / "problems" / "disk.json"
+    if cert is not None:
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(json.loads(disk.read_text())["multiplier"] if cert == "multiplier" else cert))
+        argv = [*argv, "--cert", str(cert_path)]
+    proc = subprocess.run([sys.executable, "-m", "algly", *argv, "--problem", str(disk)], capture_output=True)
+    assert proc.returncode == code, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 # -- fuzzing the files the CLI reads ----------------------------------------

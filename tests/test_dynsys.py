@@ -60,6 +60,9 @@ def test_field_constructor_validates():
     assert f.nu == 2
     with pytest.raises(MixedDegreesError):
         PolyVectorField((parse("x1^3", 2),), nu=1)
+    # a given nu is checked by the same rule as an inferred one
+    with pytest.raises(DimensionMismatchError, match="components disagree"):
+        PolyVectorField((parse("x1", 2), parse("x1", 3)), nu=0)
 
 
 def test_rk4_exponential_decay(contraction):
@@ -200,6 +203,40 @@ def test_decrease_vacuous_without_starts(disk_L, contraction):
     assert report.passed
     assert report.n_samples == 0
     assert "no evidence" in report.notes["note"]
+
+
+def test_decrease_flags_a_tau_dot_off_by_one_part_in_1e5(disk_L, contraction, monkeypatch):
+    # disk.json's start, step and horizon: an error of 1e-5 in tau_dot is
+    # far above the truncation error of the centred slope there
+    assert check_decrease(disk_L, contraction, [(1.0, 0.0)], 1e-3, 5.0).passed
+    tau_dot = HomogenizedLyapunov.tau_dot
+    monkeypatch.setattr(HomogenizedLyapunov, "tau_dot",
+                        lambda self, f, x, **kw: tau_dot(self, f, x, **kw) * (1.0 + 1e-5))
+    report = check_decrease(disk_L, contraction, [(1.0, 0.0)], 1e-3, 5.0)
+    assert not report.passed
+    assert {"fd_slope", "tau_dot"} <= set(report.details[0])
+
+
+def test_decrease_compares_no_slope_next_to_the_partial_step(disk_L, contraction, monkeypatch):
+    # T = 10.5 h: states 0..10 by whole steps, state 11 by a half step, so
+    # sample 10 has no third-difference stencil of whole steps
+    calls = []
+    tau_dot = HomogenizedLyapunov.tau_dot
+    monkeypatch.setattr(HomogenizedLyapunov, "tau_dot",
+                        lambda self, f, x, **kw: calls.append(x) or tau_dot(self, f, x, **kw))
+    report = check_decrease(disk_L, contraction, [(3.0, 2.0)], 1e-2, 0.105)
+    traj = rk4(contraction, (3.0, 2.0), 1e-2, 0.105)
+    assert report.passed and len(traj) == 12
+    assert calls == traj.states[1:10]
+
+
+def test_rk4_divergence_cap_is_relative_to_the_start(contraction, expansion):
+    # the same flow in units of 1e31 is not cut short
+    for f in (contraction, expansion):
+        small, large = rk4(f, (1.0, -0.5), 1e-2, 1.0), rk4(f, (1e31, -0.5e31), 1e-2, 1.0)
+        assert not small.diverged and not large.diverged and len(small) == len(large)
+        for s1, s2 in zip(small.states, large.states):
+            assert s2 == pytest.approx([1e31 * v for v in s1], rel=1e-14)
 
 
 def test_decrease_cubic_field_rate():
