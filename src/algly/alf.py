@@ -15,6 +15,7 @@ pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -41,9 +42,11 @@ _DEGENERATE_EPS = 1e-9
 
 
 def sample_directions(nvars: int, n: int, seed: int) -> list[tuple[float, ...]]:
-    """Deterministic unit directions: exact angular grid in 2D, seeded
-    normalized Gaussian draws for nvars >= 3 (the only branch that loads
-    numpy)."""
+    """Deterministic unit directions: exact angular grid in 2D, and for
+    nvars >= 3 normalized Gaussian draws from random.Random(seed), one
+    direction after the other, so the first k of n directions are
+    sample_directions(nvars, k, seed).  Both depend on libm: cos and sin,
+    and the log, cos and sin inside random.gauss."""
     if n < 1:
         raise ValueError("need at least one direction")
     if nvars == 1:
@@ -53,17 +56,13 @@ def sample_directions(nvars: int, n: int, seed: int) -> list[tuple[float, ...]]:
             (math.cos(2.0 * math.pi * k / n), math.sin(2.0 * math.pi * k / n))
             for k in range(n)
         ]
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     dirs = []
     while len(dirs) < n:
-        # one row per direction, drawn in one call: the stream of n draws of
-        # nvars each; a zero row is skipped and the shortfall drawn after
-        for v in rng.standard_normal((n - len(dirs), nvars)):
-            norm = float(np.linalg.norm(v))
-            if norm > 0.0:
-                dirs.append(tuple((v / norm).tolist()))
+        v = [rng.gauss(0.0, 1.0) for _ in range(nvars)]
+        norm = math.sqrt(math.fsum(c * c for c in v))   # fsum: the same bits on every Python
+        if norm > 0.0:   # a zero draw has no direction and is skipped
+            dirs.append(tuple(c / norm for c in v))
     return dirs
 
 

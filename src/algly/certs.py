@@ -9,9 +9,8 @@ from the origin and decides each one over all radii, optionally backed
 by Gram certificates for U1 and the negated combination for a
 sampling-free conclusion.
 
-Importing this module loads neither numpy nor fractions: fractions is
-imported only to check a Gram certificate, and numpy only by the
-Gaussian ray directions of nvars >= 3.
+Importing this module does not load fractions, which is imported only
+to check a Gram certificate.
 """
 
 from __future__ import annotations
@@ -278,8 +277,8 @@ def verify_multiplier(
     lowest nonzero coefficient is negative and it has no positive root;
     U1 >= 0 when it is 0 all along the ray or passes the same test with a
     positive lowest coefficient, so a U1 that touches 0 at some r > 0
-    fails.  The directions are check_invariance's: an exact grid in 2D,
-    seeded Gaussian draws above.
+    fails.  The directions are check_invariance's, from sample_directions:
+    an exact grid in 2D, seeded random.Random Gaussian draws above.
 
     worst_margin is the largest G, and notes["min_U1"] the least U1, each
     evaluated in r by Horner's rule, over the unit directions and one point

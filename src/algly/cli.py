@@ -93,7 +93,7 @@ def _is_count(value) -> bool:
 # file gives, and _settings every flag given, so each setting is checked
 # by one rule wherever it comes from.
 _OPTIONS = {
-    # numpy's generators refuse negative seeds
+    # refused when negative: random.Random(-n) draws the same stream as Random(n)
     "seed": (0, lambda v: _is_int(v) and v >= 0, "a non-negative integer", "--seed"),
     "ray_samples": (256, _is_count, f"an integer from 1 to {MAX_SAMPLES}", None),
     "n_dirs": (4096, _is_count, f"an integer from 1 to {MAX_SAMPLES}", "--n-dirs"),
@@ -299,7 +299,7 @@ def cmd_verify(args) -> int:
         return _report_payload(dynsys.check_invariance(L, problem.field, n_dirs, strict_tol))
 
     def decrease():
-        starts = [problem.x0] if problem.x0 is not None else _random_starts(problem, 8)
+        starts = [problem.x0] if problem.x0 is not None else _random_starts(problem, L, 8)
         dec = dynsys.check_decrease(L, problem.field, starts, h, T)
         return {**_report_payload(dec), "starts": [list(s) for s in starts]}
 
@@ -333,18 +333,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK if overall else EXIT_CHECK_FAILED
 
 
-def _random_starts(problem: Problem, count: int) -> list[tuple[float, ...]]:
-    import numpy as np
-
-    rng = np.random.default_rng(problem.seed)
+def _random_starts(problem: Problem, L: HomogenizedLyapunov, count: int) -> list[tuple[float, ...]]:
+    """Start k lies on sample_directions(nvars, count, seed)[k] at
+    tau = 0.5 + 4.5 k / (count - 1), so the starts scale with the set."""
     starts = []
-    while len(starts) < count:
-        v = rng.standard_normal(problem.nvars)
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            continue
-        radius = float(rng.uniform(0.5, 5.0))
-        starts.append(tuple(float(c) * radius / norm for c in v))
+    for k, d in enumerate(sample_directions(problem.nvars, count, problem.seed)):
+        radius = (0.5 + 4.5 * k / (count - 1)) / L.tau(d)
+        starts.append(tuple(radius * c for c in d))
     return starts
 
 

@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from algly.errors import (
     ZeroPolynomialError,
 )
 from algly.polycore import MultiPoly, parse
+from algly.roots import UniPoly, positive_roots
 
 from conftest import ANNULUS_TEXT, DISK_TEXT, HYPERBOLA_TEXT
 from oracles import same_bits, tau_closed_form, ulps_apart
@@ -258,7 +260,7 @@ def test_sample_directions_deterministic_and_unit():
 
 
 def _loop_directions(nvars, n, seed):
-    # one standard_normal call per direction: the reference stream
+    # numpy's default_rng, one standard_normal call per direction
     rng = np.random.default_rng(seed)
     dirs = []
     while len(dirs) < n:
@@ -269,13 +271,32 @@ def _loop_directions(nvars, n, seed):
     return dirs
 
 
+def _gauss_directions(nvars, n, seed):
+    # the reference stream: each direction is nvars consecutive
+    # random.Random(seed).gauss draws over their correctly rounded norm
+    rng = random.Random(seed)
+    dirs = []
+    while len(dirs) < n:
+        v = [rng.gauss(0.0, 1.0) for _ in range(nvars)]
+        norm = math.sqrt(math.fsum(c * c for c in v))
+        if norm > 0.0:
+            dirs.append(tuple(c / norm for c in v))
+    return dirs
+
+
+def _hex(dirs):
+    return [tuple(map(float.hex, d)) for d in dirs]
+
+
 @pytest.mark.parametrize("nvars", [3, 4, 5, 6])
 def test_gaussian_directions_equal_the_per_direction_loop(nvars):
     for n in (1, 2, 37, 1000):
         for seed in (0, 1, 303, 2 ** 40):
             got = sample_directions(nvars, n, seed)
-            want = _loop_directions(nvars, n, seed)
-            assert [tuple(map(float.hex, d)) for d in got] == [tuple(map(float.hex, d)) for d in want]
+            assert _hex(got) == _hex(_gauss_directions(nvars, n, seed))
+            # a draw of n rays starts with the draw of k < n rays
+            for k in {1, n // 2, n - 1} - {0}:
+                assert _hex(got[:k]) == _hex(sample_directions(nvars, k, seed))
 
 
 def test_tau_on_a_large_disk():
@@ -313,10 +334,14 @@ def test_tau_disk_far_from_unit_scale(disk_L, x, want):
 
 
 def test_star_convex_quartic4d_at_seed_303():
-    # the set is star-convex; at this sampling seed one of the 1024
-    # Gaussian rays has a root that a float root count can miss
+    # the set is star-convex; one of the 1024 Gaussian rays that numpy's
+    # default_rng(303) draws has a root that a float root count can miss
     P = parse("(x1^2+x2^2+x3^2+x4^2)^2 + x1^3 - x2*x3*x4 + 0.5*x1*x2 - x3 - 1", 4)
-    report = HomogenizedLyapunov(P, ray_samples=1024, seed=303).check_star_convex()
+    L = HomogenizedLyapunov(P, ray_samples=1024, seed=303)
+    for d in _loop_directions(4, 1024, 303):
+        rl = positive_roots(UniPoly(L.decomposition.family.eval_and_scale(d)[0][::-1]))
+        assert len(rl.roots) == 1 and not any(rl.suspected_multiple), d
+    report = L.check_star_convex()
     assert report.passed and report.failures == ()
 
 

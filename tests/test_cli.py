@@ -276,6 +276,25 @@ def test_verify_and_simulate_do_not_depend_on_units(tmp_path, capsys):
         assert [a2, b2] == pytest.approx([1e31 * a1, 1e31 * b1], rel=1e-14)
 
 
+def test_verify_starts_scale_with_the_set(tmp_path, capsys):
+    # x' = -|x|^2 x / rho^2 in the disk of radius rho: one system in three
+    # units of length.  The starts sit at fixed tau levels, so they scale by
+    # rho, and decrease passes in every unit.
+    starts = {}
+    for rho in (1e-2, 1.0, 1e2):
+        c = rho ** -2
+        problem = write_problem(
+            tmp_path, P=f"x1^2 + x2^2 - {rho * rho!r}", x0=None,
+            field={"components": [f"-{c!r}*(x1^2+x2^2)*x1", f"-{c!r}*(x1^2+x2^2)*x2"]})
+        code, out = run_cli(capsys, "verify", "--problem", problem)
+        decrease = json.loads(out)["checks"]["decrease"]
+        assert code == 0 and decrease["passed"], (rho, decrease)
+        starts[rho] = decrease["starts"]
+    for rho in (1e-2, 1e2):
+        for got, unit in zip(starts[rho], starts[1.0], strict=True):
+            assert got == pytest.approx([rho * v for v in unit], rel=1e-14, abs=1e-14 * rho)
+
+
 def test_verify_reports_an_invariance_error_as_a_failed_check(tmp_path, capsys):
     # Rays near the x1-axis cross this boundary three times.  The one star
     # ray misses them, so invariance meets one and raises; the error fails
@@ -348,7 +367,8 @@ def test_env_seed_override(tmp_path, capsys, monkeypatch):
 ])
 def test_bad_seed_is_usage_error(tmp_path, capsys, monkeypatch, seed_flag, env, options_seed, source):
     # a 3D problem without x0: verify would draw Gaussian directions and
-    # random starts from numpy, which refuses a negative seed
+    # random starts; a negative seed is refused because random.Random(-n)
+    # draws the same stream as Random(n)
     problem = write_problem(tmp_path, nvars=3, P="x1^2 + x2^2 + x3^2 - 1",
                             field={"matrix": [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]}, x0=None,
                             options={"seed": options_seed, "n_dirs": 64, "T": 0.1})
@@ -602,7 +622,7 @@ def test_import_loads_every_traced_module_but_not_numpy():
     assert "numpy" not in loaded
 
 
-def test_two_dimensional_commands_run_without_numpy(tmp_path):
+def test_no_subcommand_loads_numpy(tmp_path):
     disk = str(ROOT / "problems" / "disk.json")
     gram = tmp_path / "gram.json"
     gram.write_text(json.dumps({"basis": [[1, 0], [0, 1], [0, 0]],
@@ -610,17 +630,25 @@ def test_two_dimensional_commands_run_without_numpy(tmp_path):
                                 "target": "x1^2 + x2^2 + 2"}))
     multiplier = tmp_path / "multiplier.json"
     multiplier.write_text(json.dumps(json.loads((ROOT / "problems" / "disk.json").read_text())["multiplier"]))
+    # 4D without x0: Gaussian rays for every sampled check, and random starts
+    ball = write_problem(tmp_path, "ball4d.json", nvars=4, P="x1^2 + x2^2 + x3^2 + x4^2 - 1",
+                         field={"matrix": [[-1 if i == j else 0 for j in range(4)] for i in range(4)]},
+                         x0=None, options={"seed": 3, "ray_samples": 64, "n_dirs": 64, "T": 0.05})
+    multiplier4d = tmp_path / "multiplier4d.json"
+    multiplier4d.write_text(json.dumps({"U1": "1", "U2": "1"}))
     runs = [
-        ["decompose"],
-        ["tau", "--x", "1", "1"],
-        ["contour", "--n-theta", "32"],
-        ["simulate", "--T", "0.05"],
-        ["cert", "--cert", str(gram)],
-        ["cert", "--cert", str(multiplier)],
-        ["verify", "--T", "0.05"],
+        (disk, ["decompose"]),
+        (disk, ["tau", "--x", "1", "1"]),
+        (disk, ["contour", "--n-theta", "32"]),
+        (disk, ["simulate", "--T", "0.05"]),
+        (disk, ["cert", "--cert", str(gram)]),
+        (disk, ["cert", "--cert", str(multiplier)]),
+        (disk, ["verify", "--T", "0.05"]),
+        (ball, ["verify"]),
+        (ball, ["cert", "--cert", str(multiplier4d)]),
     ]
-    argvs = [[cmd, "--problem", disk, "--out", str(tmp_path / f"{cmd}.out"), *rest]
-             for cmd, *rest in runs]
+    argvs = [[cmd, "--problem", problem, "--out", str(tmp_path / f"{k}.out"), *rest]
+             for k, (problem, [cmd, *rest]) in enumerate(runs)]
     code = (
         "import json, sys\n"
         "from algly import cli\n"
