@@ -19,8 +19,6 @@ from .certs import (
     GramCertificate,
     GramReport,
     MultiplierCertificate,
-    expand_quadratic_form,
-    gram_euler_identity,
     verify_gram,
     verify_multiplier,
 )
@@ -52,7 +50,6 @@ from .errors import (
 )
 from .homogenize import (
     HomogeneousDecomposition,
-    euler_residual,
     homogeneous_parts,
     homogenize,
     tau_coefficients,
@@ -93,9 +90,6 @@ __all__ = [
     "check_decrease",
     "check_homogeneity",
     "check_invariance",
-    "euler_residual",
-    "expand_quadratic_form",
-    "gram_euler_identity",
     "homogeneous_parts",
     "homogenize",
     "linear",

@@ -21,14 +21,13 @@ from sys import float_info
 from typing import Sequence
 
 from .alf import sample_directions
-from .dynsys import PolyVectorField, VerificationReport
+from .dynsys import DETAILS_CAP, PolyVectorField, VerificationReport
 from .errors import CertificateError, DimensionMismatchError
 from .homogenize import homogeneous_parts
 from .polycore import Exponents, MultiPoly, PolyFamily
 from .roots import UniPoly, _eval_list, positive_roots
 
 SYMMETRY_TOL = 1e-12     # allowed asymmetry of Q, relative to its largest entry
-_MISMATCH_CAP = 16
 
 Matrix = Sequence[Sequence[float]]
 
@@ -105,20 +104,6 @@ class GramReport:
     mismatches: list = field(default_factory=list)
 
 
-def expand_quadratic_form(basis: Sequence[Exponents], M: Matrix, nvars: int) -> MultiPoly:
-    """The polynomial sum_ij M[i][j] x^(e_i + e_j)."""
-    out: dict[Exponents, float] = {}
-    m = len(basis)
-    for i in range(m):
-        for j in range(m):
-            c = float(M[i][j])
-            if c == 0.0:
-                continue
-            e = tuple(a + b for a, b in zip(basis[i], basis[j]))
-            out[e] = out.get(e, 0.0) + c
-    return MultiPoly(nvars, out)
-
-
 def _to_float(x) -> float:
     return float(x) if abs(x) <= float_info.max else math.inf if x > 0 else -math.inf
 
@@ -181,7 +166,7 @@ def verify_gram(cert: GramCertificate, target=None) -> GramReport:
         if not r:
             continue
         max_err = max(max_err, abs(r))
-        if len(mismatches) < _MISMATCH_CAP:
+        if len(mismatches) < DETAILS_CAP:
             mismatches.append({"exponents": e, "expanded": _to_float(expanded),
                                "target": _to_float(target.get(e, 0))})
         if pairs:
@@ -199,26 +184,6 @@ def verify_gram(cert: GramCertificate, target=None) -> GramReport:
         max_coeff_error=_to_float(max_err),
         mismatches=mismatches,
     )
-
-
-def gram_euler_identity(cert: GramCertificate) -> MultiPoly:
-    """Residual of x.grad(z^T Q z) = 2 z^T T Q z with T = diag(deg z_i).
-
-    Because every term of z^T Q z coming from basis entries of degrees
-    d_i, d_j has total degree d_i + d_j, the identity holds term by term
-    and the residual is the zero polynomial; the operation is a
-    structural self-check of the degree bookkeeping.  Basis entries of
-    degree 0 break the factor-2 form and are rejected.
-    """
-    degrees = [sum(e) for e in cert.basis]
-    if any(d == 0 for d in degrees):
-        raise ValueError("constant monomial in basis: the scaled identity requires degree >= 1")
-    nvars = cert.target.nvars
-    s = expand_quadratic_form(cert.basis, cert.Q, nvars)
-    euler = MultiPoly(nvars, {e: c * sum(e) for e, c in s.terms.items()})
-    TQ = [[d * q for q in row] for d, row in zip(degrees, cert.Q)]
-    scaled = expand_quadratic_form(cert.basis, TQ, nvars)
-    return euler - scaled.scale(2.0)
 
 
 def _negated_combination(P: MultiPoly, f: PolyVectorField, cert: MultiplierCertificate) -> dict:

@@ -99,8 +99,8 @@ _OPTIONS = {
     "n_dirs": (4096, _is_count, f"an integer from 1 to {MAX_SAMPLES}", "--n-dirs"),
     "n_theta": (360, _is_count, f"an integer from 1 to {MAX_SAMPLES}", "--n-theta"),
     "levels": ([0.25, 0.5, 1.0],
-               lambda v: isinstance(v, list) and len(v) > 0 and all(_is_finite(x) for x in v),
-               "a non-empty list of finite numbers", "--levels"),
+               lambda v: isinstance(v, list) and len(v) > 0 and all(_is_finite(x) and x >= 0 for x in v),
+               "a non-empty list of finite numbers >= 0", "--levels"),
     "h": (1e-3, lambda v: _is_finite(v) and v > 0, "a positive finite number", "--h"),
     "T": (1.0, lambda v: _is_finite(v) and v >= 0, "a non-negative finite number", "--T"),
     "strict_tol": (0.0, _is_finite, "a finite number", "--min-margin"),
@@ -292,8 +292,9 @@ def cmd_verify(args) -> int:
 
     def star_convexity():
         star = L.check_star_convex()
+        failures = [asdict(f) for f in star.failures[:dynsys.DETAILS_CAP]]
         return {"passed": star.passed, "checked_directions": star.checked_directions,
-                "n_failures": len(star.failures), "failures": [asdict(f) for f in star.failures[:16]]}
+                "n_failures": len(star.failures), "failures": failures}
 
     def invariance():
         return _report_payload(dynsys.check_invariance(L, problem.field, n_dirs, strict_tol))
@@ -344,7 +345,7 @@ def _random_starts(problem: Problem, L: HomogenizedLyapunov, count: int) -> list
 
 
 def _report_payload(report: dynsys.VerificationReport) -> dict:
-    payload = {**asdict(report), "details": report.details[:16]}
+    payload = asdict(report)
     if math.isinf(report.worst_margin):
         payload["worst_margin"] = None
     if not report.details:

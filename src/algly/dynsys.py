@@ -2,7 +2,7 @@
 
 A field f is homogeneous of degree nu when f(l*x) = l^(nu+1) * f(x) for
 every l > 0; linear fields have nu = 0.  Homogeneity is verified at
-construction, per component, through the exact Euler-identity residual.
+construction, per component, from the total degree of every term.
 
 The invariance check samples boundary points y = d / tau(d) (which lie
 on {P = 0} by construction) and requires grad(P).f < 0 there; the
@@ -18,14 +18,14 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import DimensionMismatchError, MixedDegreesError
-from .homogenize import euler_residual
 from .polycore import MultiPoly, PolyFamily
 from .alf import sample_directions
 
 if TYPE_CHECKING:
     from .alf import HomogenizedLyapunov
 
-DETAILS_CAP = 64
+# Most entries a report's list (details, failures, mismatches) keeps.
+DETAILS_CAP = 16
 # States past this multiple of max|x0_i| count as blow-up; keeping them
 # finite but enormous would only overflow every later polynomial evaluation.
 DIVERGENCE_CAP = 1e30
@@ -34,8 +34,9 @@ MAX_STEPS = 1_000_000
 
 
 def check_homogeneity(components: Sequence[MultiPoly], nu: int | None = None) -> int:
-    """The unique nu with every nonzero component homogeneous of degree
-    nu + 1; a given `nu` is checked, and then all-zero components pass."""
+    """The unique nu with every term of every nonzero component of total
+    degree nu + 1; a given `nu` is checked, and then all-zero components
+    pass.  A coefficient that is not finite is refused."""
     if nu is not None and nu < 0:
         raise MixedDegreesError(f"homogeneity degree must be >= 0, got {nu}")
     if not components:
@@ -45,10 +46,12 @@ def check_homogeneity(components: Sequence[MultiPoly], nu: int | None = None) ->
     for i, comp in enumerate(components):
         if comp.nvars != nvars:
             raise DimensionMismatchError("components disagree on the number of variables")
+        if not all(map(math.isfinite, comp.terms.values())):
+            raise MixedDegreesError(f"component {i + 1} has a coefficient that is not finite")
         if comp.is_zero():
             continue
         d = comp.degree() if nu is None else nu + 1
-        if not euler_residual(comp, d).is_zero():
+        if any(sum(e) != d for e in comp.terms):
             raise MixedDegreesError(f"component {i + 1} mixes terms of different degrees" if nu is None
                                     else f"component {i + 1} is not homogeneous of degree {d}")
         degrees.add(d)
@@ -110,8 +113,6 @@ def linear(A) -> PolyVectorField:
 class Trajectory:
     times: list[float]
     states: list[tuple[float, ...]]
-    step: float
-    field: PolyVectorField
     diverged: bool = False
 
     def __len__(self) -> int:
@@ -162,13 +163,13 @@ def rk4(f: PolyVectorField, x0: Sequence[float], h: float, T: float) -> Trajecto
         try:
             x = _rk4_step(f, x, step)
         except OverflowError:
-            return Trajectory(times, states, h, f, diverged=True)
+            return Trajectory(times, states, diverged=True)
         if not all(math.isfinite(v) and abs(v) <= cap for v in x):
-            return Trajectory(times, states, h, f, diverged=True)
+            return Trajectory(times, states, diverged=True)
         t += step
         times.append(t)
         states.append(x)
-    return Trajectory(times, states, h, f)
+    return Trajectory(times, states)
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +262,9 @@ def check_decrease(
         traj = rk4(f, x0, h, T)
         if traj.diverged:
             passed = False
-            details.append({"x0": tuple(x0), "failure": "trajectory diverged",
-                            "last_state": traj.states[-1]})
+            if len(details) < DETAILS_CAP:
+                details.append({"x0": tuple(x0), "failure": "trajectory diverged",
+                                "last_state": traj.states[-1]})
             continue
         taus = [L.tau(s) for s in traj.states]
         n_samples += len(taus)

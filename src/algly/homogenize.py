@@ -76,15 +76,3 @@ def tau_coefficients(decomposition: HomogeneousDecomposition, x: Sequence[float]
     """
     return list(decomposition.family.eval_and_scale(x)[0])
 
-
-def euler_residual(M: MultiPoly, k: int) -> MultiPoly:
-    """The polynomial x.grad(M) - k*M; zero iff M is homogeneous of degree k.
-
-    For a term of total degree d the residual coefficient is (d - k) times
-    the term's coefficient, which is exactly 0.0 when d == k, so the test
-    is exact even in float arithmetic.
-    """
-    out = {}
-    for e, c in M.terms.items():
-        out[e] = c * (sum(e) - k)
-    return MultiPoly(M.nvars, out)

@@ -12,8 +12,6 @@ from algly import certs
 from algly.certs import (
     GramCertificate,
     MultiplierCertificate,
-    expand_quadratic_form,
-    gram_euler_identity,
     verify_gram,
     verify_multiplier,
 )
@@ -21,6 +19,7 @@ from algly.dynsys import PolyVectorField, linear
 from algly.errors import CertificateError, DimensionMismatchError
 from algly.polycore import MultiPoly, PolyFamily, parse
 
+from conftest import quadratic_form
 from oracles import eval_terms, same_bits
 
 
@@ -114,19 +113,6 @@ def test_gram_asymmetry_is_refused_at_every_scale():
             certs.build_gram(((1, 0), (0, 1)), [[s, 0.5 * s], [0.5 * (1 + 1e-6) * s, s]], target)
 
 
-def test_expand_quadratic_form_matches_numeric():
-    rng = np.random.default_rng(40)
-    basis = ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1))
-    for _ in range(50):
-        Q = rng.uniform(-2.0, 2.0, (5, 5))
-        Q = 0.5 * (Q + Q.T)
-        s = expand_quadratic_form(basis, Q, 2)
-        x = rng.uniform(-2.0, 2.0, 2)
-        z = np.array([x[0] ** e1 * x[1] ** e2 for e1, e2 in basis])
-        want = float(z @ Q @ z)
-        assert abs(s.eval(tuple(x)) - want) <= 1e-9 * max(1.0, abs(want))
-
-
 _MONOMIALS = [e for e in itertools.product(range(4), repeat=2) if sum(e) <= 3]
 
 
@@ -150,7 +136,7 @@ def test_gram_verdict_is_the_inertia_of_the_ldl_factors(case, k):
     # moves nothing, and scaling Q and the target by 2^k changes no bit
     basis, Q, D = case
     Q = [[float(v) for v in row] for row in Q]
-    target = expand_quadratic_form(basis, Q, 2)
+    target = quadratic_form(basis, Q, 2)
     report = verify_gram(GramCertificate(basis, Q, target))
     assert report.passed == (min(D) >= 0)
     assert report.coeff_ok and report.max_coeff_error == 0.0
@@ -158,50 +144,6 @@ def test_gram_verdict_is_the_inertia_of_the_ldl_factors(case, k):
     scaled_report = verify_gram(GramCertificate(basis, scaled, target.scale(2.0 ** k)))
     assert scaled_report.passed == report.passed
     assert scaled_report.psd_failed_at == report.psd_failed_at
-
-
-def test_euler_identity_unit_cases():
-    cert = GramCertificate(((1, 0), (0, 1)), np.eye(2), parse("x1^2 + x2^2", 2))
-    assert gram_euler_identity(cert).is_zero()
-    cert = GramCertificate(((3,),), np.array([[4.0]]), parse("4*x1^6", 1))
-    assert gram_euler_identity(cert).is_zero()
-
-
-def test_euler_identity_reference_basis():
-    basis = ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1))
-    assert [sum(e) for e in basis] == [2, 2, 2, 1, 1]
-    rng = np.random.default_rng(42)
-    Q = rng.integers(-5, 6, (5, 5)).astype(float)
-    Q = Q + Q.T
-    cert = GramCertificate(basis, Q, expand_quadratic_form(basis, Q, 2))
-    assert gram_euler_identity(cert).is_zero()
-
-
-def test_euler_identity_rejects_constant_basis_entry():
-    cert = GramCertificate(((0, 0), (1, 0)), np.eye(2), parse("1 + x1^2", 2))
-    with pytest.raises(ValueError):
-        gram_euler_identity(cert)
-
-
-def _random_basis(rng, nvars, max_degree, size):
-    monomials = [
-        e for e in itertools.product(range(max_degree + 1), repeat=nvars)
-        if 1 <= sum(e) <= max_degree
-    ]
-    idx = rng.choice(len(monomials), size=min(size, len(monomials)), replace=False)
-    return tuple(monomials[i] for i in sorted(idx))
-
-
-def test_euler_identity_randomized():
-    rng = np.random.default_rng(43)
-    for _ in range(100):
-        nvars = int(rng.integers(1, 4))
-        basis = _random_basis(rng, nvars, 4, int(rng.integers(1, 6)))
-        m = len(basis)
-        Q = rng.integers(-9, 10, (m, m)).astype(float)
-        Q = Q + Q.T
-        cert = GramCertificate(basis, Q, expand_quadratic_form(basis, Q, nvars))
-        assert gram_euler_identity(cert).is_zero()
 
 
 def test_multiplier_unit_multipliers(disk_poly, contraction):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from algly.dynsys import (
+    DETAILS_CAP,
     MAX_STEPS,
     PolyVectorField,
     check_decrease,
@@ -63,6 +64,14 @@ def test_field_constructor_validates():
     # a given nu is checked by the same rule as an inferred one
     with pytest.raises(DimensionMismatchError, match="components disagree"):
         PolyVectorField((parse("x1", 2), parse("x1", 3)), nu=0)
+
+
+def test_field_refuses_a_coefficient_that_is_not_finite():
+    for bad in (math.inf, math.nan):
+        with pytest.raises(MixedDegreesError, match="component 2 has a coefficient that is not finite"):
+            PolyVectorField((parse("x1", 2), MultiPoly(2, {(0, 1): bad})))
+        with pytest.raises(MixedDegreesError, match="component 1 has a coefficient that is not finite"):
+            linear([[bad]])
 
 
 def test_rk4_exponential_decay(contraction):
@@ -215,6 +224,16 @@ def test_decrease_flags_a_tau_dot_off_by_one_part_in_1e5(disk_L, contraction, mo
     report = check_decrease(disk_L, contraction, [(1.0, 0.0)], 1e-3, 5.0)
     assert not report.passed
     assert {"fd_slope", "tau_dot"} <= set(report.details[0])
+    assert len(report.details) == DETAILS_CAP
+
+
+def test_decrease_keeps_the_first_details_of_diverged_starts(disk_L):
+    f = PolyVectorField((parse("x1^3", 2), parse("x2^3", 2)))
+    starts = [(10.0 + k, 10.0) for k in range(DETAILS_CAP + 4)]
+    report = check_decrease(disk_L, f, starts, 1e-2, 1.0)
+    assert not report.passed
+    assert [d["x0"] for d in report.details] == starts[:DETAILS_CAP]
+    assert {d["failure"] for d in report.details} == {"trajectory diverged"}
 
 
 def test_decrease_compares_no_slope_next_to_the_partial_step(disk_L, contraction, monkeypatch):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from algly.errors import DimensionMismatchError, ZeroPolynomialError
-from algly.homogenize import euler_residual, homogeneous_parts, homogenize, tau_coefficients
+from algly.errors import DegreeError, DimensionMismatchError, ZeroPolynomialError
+from algly.homogenize import HomogeneousDecomposition, homogeneous_parts, homogenize, tau_coefficients
 from algly.polycore import MultiPoly, parse
 
 from oracles import random_poly
@@ -33,6 +33,11 @@ def test_constant_part():
 def test_zero_polynomial_rejected():
     with pytest.raises(ZeroPolynomialError):
         homogeneous_parts(MultiPoly.zero(2))
+
+
+def test_decomposition_refuses_a_part_of_another_degree():
+    with pytest.raises(DegreeError, match="part 1 is not homogeneous of degree 1"):
+        HomogeneousDecomposition(2, (parse("-1", 2), parse("x1 + x2^2", 2), parse("x1^2", 2)))
 
 
 def test_homogenize_disk(disk_poly):
@@ -117,22 +122,3 @@ def test_tau_coefficients_dimension():
     D = homogeneous_parts(parse("x1^2 - 1", 2))
     with pytest.raises(DimensionMismatchError):
         tau_coefficients(D, (1.0,))
-
-
-def test_euler_residual_examples():
-    assert euler_residual(parse("x1^2 + x2^2", 2), 2).is_zero()
-    assert euler_residual(parse("-2*x1 + 2*x2", 2), 1).is_zero()
-    # x.grad(x1^3 + x1*x2) = 3*x1^3 + 2*x1*x2, minus 3*(x1^3 + x1*x2)
-    res = euler_residual(parse("x1^3 + x1*x2", 2), 3)
-    assert res == parse("0 - x1*x2", 2)
-
-
-def test_euler_residual_zero_on_every_part():
-    rng = np.random.default_rng(14)
-    for _ in range(50):
-        P = random_poly(rng, 2, 5, 10)
-        if P.is_zero():
-            continue
-        D = homogeneous_parts(P)
-        for i, part in enumerate(D.parts):
-            assert euler_residual(part, i).is_zero()
